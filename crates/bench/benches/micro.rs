@@ -28,7 +28,7 @@ fn bench<R>(group: &str, name: &str, iters: u32, mut f: impl FnMut() -> R) {
     println!("{group}/{name:<28} {per:>12} ns/iter  ({iters} iters)");
 }
 
-fn bench_solver() {
+fn bench_solving() {
     bench("solver", "simplification_fast_path", 2000, || {
         let x = Term::var("mb.s", 16);
         let q = vec![
@@ -129,7 +129,7 @@ fn bench_grouping() {
 
 fn main() {
     println!("== micro: hot-kernel benchmarks ==\n");
-    bench_solver();
+    bench_solving();
     bench_terms();
     bench_grouping();
 }

@@ -1,7 +1,7 @@
 //! # soft-bench — benchmark harness regenerating every table and figure
 //!
 //! One bench target per table/figure of the paper's evaluation (§5), plus
-//! ablations for the design decisions DESIGN.md calls out and Criterion
+//! ablations for the design decisions DESIGN.md calls out and self-timed
 //! micro-benchmarks of the hot kernels. The table targets are
 //! `harness = false` binaries that print the same rows the paper reports;
 //! run them all with `cargo bench`.

@@ -30,23 +30,6 @@ pub fn op_count(t: &Term) -> u64 {
     count
 }
 
-/// Total number of DAG nodes (leaves included).
-pub fn node_count(t: &Term) -> u64 {
-    let mut seen: HashSet<u64> = HashSet::new();
-    let mut stack = vec![t.clone()];
-    let mut count = 0u64;
-    while let Some(t) = stack.pop() {
-        if !seen.insert(t.id()) {
-            continue;
-        }
-        count += 1;
-        for c in t.op().children() {
-            stack.push(c.clone());
-        }
-    }
-    count
-}
-
 /// Maximum operator nesting depth (leaves have depth 0).
 pub fn depth(t: &Term) -> u64 {
     fn rec(t: &Term, memo: &mut HashMap<u64, u64>) -> u64 {
@@ -64,33 +47,6 @@ pub fn depth(t: &Term) -> u64 {
         d
     }
     rec(t, &mut HashMap::new())
-}
-
-/// Cross-term DAG sharing: `(total, unique)` where `total` is the sum of
-/// per-term node counts and `unique` is the size of the union of all
-/// their DAG nodes.
-///
-/// `total - unique` nodes are shared between at least two terms — the
-/// structure a per-term encoder re-encodes and the incremental solver's
-/// id-keyed CNF cache encodes exactly once. The bench_solver tool reports
-/// this ratio per test to explain where the incremental speedup comes
-/// from.
-pub fn dag_shared_nodes(terms: &[Term]) -> (u64, u64) {
-    let mut union: HashSet<u64> = HashSet::new();
-    let mut total = 0u64;
-    for t in terms {
-        total += node_count(t);
-        let mut stack = vec![t.clone()];
-        while let Some(t) = stack.pop() {
-            if !union.insert(t.id()) {
-                continue;
-            }
-            for c in t.op().children() {
-                stack.push(c.clone());
-            }
-        }
-    }
-    (total, union.len() as u64)
 }
 
 /// Collect the names and widths of all variables occurring in the term.
@@ -123,7 +79,6 @@ mod tests {
         let x = Term::var("mt.x", 8);
         assert_eq!(op_count(&x), 0);
         assert_eq!(depth(&x), 0);
-        assert_eq!(node_count(&x), 1);
     }
 
     #[test]
@@ -132,26 +87,9 @@ mod tests {
         let sq = x.clone().bvmul(x.clone()); // 1 op
         let e = sq.clone().bvadd(sq.clone()); // bvadd(sq, sq): sq == sq folds!
                                               // x*x + x*x does not fold to a constant; Add with equal operands is
-                                              // not simplified, so: ops = mul + add = 2, nodes = x, mul, add = 3.
+                                              // not simplified, so: ops = mul + add = 2, the shared mul once.
         assert_eq!(op_count(&e), 2);
-        assert_eq!(node_count(&e), 3);
         assert_eq!(depth(&e), 2);
-    }
-
-    #[test]
-    fn dag_sharing_across_terms() {
-        let x = Term::var("mt.sh", 8);
-        let bump = x.clone().bvadd(Term::bv_const(8, 1)); // x, 1, add = 3 nodes
-        let a = bump.clone().ugt(Term::bv_const(8, 5)); // + 5, ugt = 5 nodes
-        let b = bump.clone().ult(Term::bv_const(8, 9)); // + 9, ult = 5 nodes
-        let (total, unique) = dag_shared_nodes(&[a.clone(), b]);
-        assert_eq!(total, 10);
-        // The 3-node `bump` subgraph is counted once in the union.
-        assert_eq!(unique, 7);
-        // Degenerate cases: empty set, single term, duplicate term.
-        assert_eq!(dag_shared_nodes(&[]), (0, 0));
-        assert_eq!(dag_shared_nodes(std::slice::from_ref(&a)), (5, 5));
-        assert_eq!(dag_shared_nodes(&[a.clone(), a]), (10, 5));
     }
 
     #[test]

@@ -8,11 +8,11 @@
 //! into the published bytes.
 
 use soft::core::{crosscheck, CrosscheckConfig};
-use soft::harness::{run_test, suite, TestRunFile};
-use soft::smt::SolverBudget;
+use soft::harness::{run_test, suite, TestCase, TestRunFile};
+use soft::smt::{SatResult, SolverBudget};
 use soft::sym::ExplorerConfig;
 use soft::witness::{distill, DistillConfig};
-use soft::{run_session, AgentKind, SessionConfig};
+use soft::{run_session, AgentKind, SessionConfig, TestOutcome};
 use std::fs;
 use std::path::PathBuf;
 
@@ -86,15 +86,29 @@ fn phased(seed: u64, jobs: usize) -> (String, String, String) {
     (text_a, text_b, report.corpus.to_json_string())
 }
 
-/// One `soft run` session over the same test; returns the published
+/// One `soft run` session over `queue_config`; returns the published
 /// artifact bytes read back from disk.
 fn streaming(tag: &str, seed: u64, jobs: usize, incremental: bool) -> (String, String, String) {
+    let (a, b, corpus, _) = session(tag, suite::queue_config(), seed, jobs, incremental);
+    (a, b, corpus)
+}
+
+/// One `soft run` session over `test`; returns the published artifact
+/// bytes read back from disk and the session's outcome for the test.
+fn session(
+    tag: &str,
+    test: TestCase,
+    seed: u64,
+    jobs: usize,
+    incremental: bool,
+) -> (String, String, String, TestOutcome) {
+    let id = test.id;
     let dir = temp_dir(tag);
     let prefix = format!("{}/", dir.display());
     let cfg = SessionConfig {
         agent_a: AgentKind::Reference.into(),
         agent_b: AgentKind::OpenVSwitch.into(),
-        tests: vec![suite::queue_config()],
+        tests: vec![test],
         jobs,
         seed,
         solver_budget: SolverBudget::unlimited(),
@@ -107,16 +121,36 @@ fn streaming(tag: &str, seed: u64, jobs: usize, incremental: bool) -> (String, S
         incremental,
         baseline: None,
     };
-    let report = run_session(&cfg).expect("session");
+    let mut report = run_session(&cfg).expect("session");
     assert_eq!(report.outcomes.len(), 1);
-    let text_a = fs::read_to_string(format!("{prefix}reference_queue_config.json"))
-        .expect("read artifact A");
-    let text_b =
-        fs::read_to_string(format!("{prefix}ovs_queue_config.json")).expect("read artifact B");
-    let corpus =
-        fs::read_to_string(format!("{prefix}corpus_queue_config.json")).expect("read corpus");
+    let text_a =
+        fs::read_to_string(format!("{prefix}reference_{id}.json")).expect("read artifact A");
+    let text_b = fs::read_to_string(format!("{prefix}ovs_{id}.json")).expect("read artifact B");
+    let corpus = fs::read_to_string(format!("{prefix}corpus_{id}.json")).expect("read corpus");
     let _ = fs::remove_dir_all(&dir);
-    (text_a, text_b, corpus)
+    (text_a, text_b, corpus, report.outcomes.remove(0))
+}
+
+/// The canonical verdict matrix in comparable form, one
+/// `(i, j, verdict, budget)` per pair, with each Sat model's assignments
+/// in sorted variable order (the model map has no stable order of its
+/// own).
+fn verdict_matrix(outcome: &TestOutcome) -> Vec<(usize, usize, String, SolverBudget)> {
+    outcome
+        .verdicts
+        .iter()
+        .map(|v| {
+            let verdict = match &v.verdict {
+                SatResult::Sat(model) => {
+                    let mut vars: Vec<(&str, u64)> = model.iter().collect();
+                    vars.sort_unstable();
+                    format!("Sat{vars:?}")
+                }
+                other => format!("{other:?}"),
+            };
+            (v.i, v.j, verdict, v.budget)
+        })
+        .collect()
 }
 
 /// The property itself: for each seed in the matrix, the streaming
@@ -152,29 +186,68 @@ fn streaming_matches_phased_for_every_seed_and_jobs() {
 /// The incremental-solver equivalence gate: the persistent per-test
 /// contexts (assumption probes, CNF caching, UNSAT-core pruning) are a
 /// pure speed lever — with them on or off the session publishes
-/// byte-identical artifacts and corpora at any `--jobs`. Probes publish
-/// only Unsat verdicts, which are value-deterministic, so nothing
-/// history-dependent can leak into the bytes.
+/// byte-identical artifacts and corpora at any `--jobs`, and decides
+/// every group pair identically: same verdict, same Sat model, same
+/// budget stamp, and as many freshly solved pairs. Probes publish only
+/// Unsat verdicts, which are value-deterministic, so nothing
+/// history-dependent can leak into the results. `set_config` carries the
+/// heaviest probe and search traffic; `packet_out` has 92 Sat pairs.
 #[test]
 fn incremental_on_and_off_publish_identical_bytes() {
     let seed = 0x50F7u64;
-    for jobs in [1usize, 8] {
-        let (off_a, off_b, off_corpus) = streaming(&format!("inc_off_j{jobs}"), seed, jobs, false);
-        let (on_a, on_b, on_corpus) = streaming(&format!("inc_on_j{jobs}"), seed, jobs, true);
-        assert_eq!(
-            normalize_wall(&on_a),
-            normalize_wall(&off_a),
-            "artifact A diverged with incremental solving (jobs {jobs})"
-        );
-        assert_eq!(
-            normalize_wall(&on_b),
-            normalize_wall(&off_b),
-            "artifact B diverged with incremental solving (jobs {jobs})"
-        );
-        assert_eq!(
-            on_corpus, off_corpus,
-            "corpus diverged with incremental solving (jobs {jobs})"
-        );
+    for test in [
+        suite::queue_config(),
+        suite::set_config(),
+        suite::packet_out(),
+    ] {
+        let id = test.id;
+        for jobs in [1usize, 8] {
+            let (off_a, off_b, off_corpus, off) = session(
+                &format!("inc_off_{id}_j{jobs}"),
+                test.clone(),
+                seed,
+                jobs,
+                false,
+            );
+            let (on_a, on_b, on_corpus, on) = session(
+                &format!("inc_on_{id}_j{jobs}"),
+                test.clone(),
+                seed,
+                jobs,
+                true,
+            );
+            assert_eq!(
+                normalize_wall(&on_a),
+                normalize_wall(&off_a),
+                "artifact A diverged with incremental solving ({id}, jobs {jobs})"
+            );
+            assert_eq!(
+                normalize_wall(&on_b),
+                normalize_wall(&off_b),
+                "artifact B diverged with incremental solving ({id}, jobs {jobs})"
+            );
+            assert_eq!(
+                on_corpus, off_corpus,
+                "corpus diverged with incremental solving ({id}, jobs {jobs})"
+            );
+            let (on_v, off_v) = (verdict_matrix(&on), verdict_matrix(&off));
+            assert!(!off_v.is_empty(), "{id}: empty verdict matrix");
+            assert_eq!(
+                on_v.len(),
+                off_v.len(),
+                "verdict matrix size diverged with incremental solving ({id}, jobs {jobs})"
+            );
+            if let Some((x, y)) = on_v.iter().zip(&off_v).find(|(x, y)| x != y) {
+                panic!(
+                    "pair verdict diverged with incremental solving ({id}, jobs {jobs}): \
+                     on {x:?}, off {y:?}"
+                );
+            }
+            assert_eq!(
+                on.check_queries, off.check_queries,
+                "fresh-solve count diverged with incremental solving ({id}, jobs {jobs})"
+            );
+        }
     }
 }
 
