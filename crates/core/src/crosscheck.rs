@@ -295,6 +295,17 @@ pub trait VerdictSink: Sync {
     fn on_decided(&self, _i: usize, _j: usize, _verdict: &SatResult, _budget: &SolverBudget) {}
 }
 
+/// A closure observing [`VerdictSink::on_verdict`] is a sink, e.g. one
+/// appending each verdict to a journal.
+impl<F> VerdictSink for F
+where
+    F: Fn(usize, usize, &SatResult, &SolverBudget) + Sync,
+{
+    fn on_verdict(&self, i: usize, j: usize, verdict: &SatResult, budget: &SolverBudget) {
+        self(i, j, verdict, budget)
+    }
+}
+
 /// Verdicts recovered from a crosscheck journal, keyed by group-index
 /// pair. Seeded verdicts short-circuit re-solving on resume: decided
 /// verdicts are final, and an Unknown is reusable only for budgets the

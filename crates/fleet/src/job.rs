@@ -6,7 +6,7 @@
 //! test lookup, and fingerprint computation live here, in the one crate
 //! both sides depend on.
 
-use soft_agents::{AgentKind, OF10};
+use soft_agents::OF10;
 use soft_harness::journal::fnv64_hex;
 use soft_harness::proto::JobSpec;
 use soft_harness::TestCase;
@@ -29,25 +29,6 @@ pub fn agent_by_name(proto: &'static dyn Protocol, name: &str) -> Option<AgentRe
         protocol: proto,
         agent,
     })
-}
-
-/// Parse an OpenFlow agent id as accepted on the wire and the CLI
-/// (OpenFlow compatibility path; the generic resolver is
-/// [`agent_by_name`]).
-pub fn parse_agent(s: &str) -> Option<AgentKind> {
-    match s {
-        "reference" | "ref" => Some(AgentKind::Reference),
-        "ovs" | "openvswitch" => Some(AgentKind::OpenVSwitch),
-        "modified" => Some(AgentKind::Modified),
-        "panicky" => Some(AgentKind::Panicky),
-        _ => None,
-    }
-}
-
-/// Look a test id up in the OpenFlow suite (OpenFlow compatibility
-/// path; generic callers go through [`Protocol::tests`]).
-pub fn find_test(id: &str) -> Option<TestCase> {
-    OF10.find_test(id)
 }
 
 /// Fingerprint of an agent's current code, computed without any
@@ -129,6 +110,7 @@ pub fn resolve(spec: JobSpec) -> Result<ResolvedJob, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use soft_agents::AgentKind;
     use std::collections::HashSet;
 
     #[test]

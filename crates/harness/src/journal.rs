@@ -11,6 +11,10 @@
 //! produces byte-identical artifacts to an uninterrupted one at any
 //! worker count.
 //!
+//! One journal format, [`SessionJournal`], serves `soft run` and the
+//! phased commands alike; path, output, verdict, and corpus records are
+//! each tagged with the exploration unit or test they belong to.
+//!
 //! On-disk format: a header record followed by data records, each framed
 //! as `[u32 LE payload length][u32 LE CRC-32 of payload][JSON payload]`.
 //! A torn or corrupted tail (the expected shape of a crash mid-append)
@@ -21,7 +25,7 @@
 
 use crate::input::TestCase;
 use crate::json::{self, Json};
-use crate::runner::{agent_program, degraded_run, summarize, TestRun};
+use crate::runner::{agent_program, summarize, TestRun};
 use crate::wire::EventFile;
 use soft_protocol::{normalize_trace, AgentRef};
 use soft_smt::{Assignment, SatResult, SolverBudget};
@@ -31,9 +35,7 @@ use soft_sym::{
 use std::collections::{BTreeMap, HashMap};
 use std::fs;
 use std::io::{self, Write};
-use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -343,8 +345,17 @@ fn scan_records(bytes: &[u8]) -> RawRecovery {
     }
 }
 
-/// Create a fresh journal at `path` with the given header record.
-fn fresh_journal(path: &Path, header: &Json, fsync: bool) -> Result<JournalWriter, JournalError> {
+/// The one header kind this build writes and resumes. Journals with
+/// another kind (the per-phase `phase1` and `check` journals of older
+/// builds) are refused on resume, never parsed.
+const JOURNAL_KIND: &str = "session";
+
+/// Create a fresh journal at `path` whose header carries `fingerprint`.
+fn fresh_journal(
+    path: &Path,
+    fingerprint: &str,
+    fsync: bool,
+) -> Result<JournalWriter, JournalError> {
     if let Some(dir) = path.parent() {
         if !dir.as_os_str().is_empty() {
             fs::create_dir_all(dir)?;
@@ -352,19 +363,25 @@ fn fresh_journal(path: &Path, header: &Json, fsync: bool) -> Result<JournalWrite
     }
     let file = fs::File::create(path)?;
     let mut w = JournalWriter::new(file, fsync);
-    w.append(header)?;
+    w.append(&Json::Object(vec![
+        ("format".to_string(), Json::UInt(1)),
+        ("kind".to_string(), Json::Str(JOURNAL_KIND.to_string())),
+        (
+            "fingerprint".to_string(),
+            Json::Str(fingerprint.to_string()),
+        ),
+    ]))?;
     Ok(w)
 }
 
 /// Open an existing journal for resumption: scan it, verify the header
-/// against `kind`/`fingerprint`, truncate any damaged tail, and return
-/// the data records plus an append handle positioned after the valid
-/// prefix. A missing or empty journal degrades to a fresh start.
+/// against [`JOURNAL_KIND`] and `fingerprint`, truncate any damaged
+/// tail, and return the data records plus an append handle positioned
+/// after the valid prefix. A missing or empty journal degrades to a
+/// fresh start.
 fn open_resume(
     path: &Path,
-    kind: &str,
     fingerprint: &str,
-    header: &Json,
     fsync: bool,
 ) -> Result<(Vec<Json>, JournalWriter), JournalError> {
     let bytes = match fs::read(path) {
@@ -375,7 +392,7 @@ fn open_resume(
     let raw = scan_records(&bytes);
     if raw.records.is_empty() {
         // Nothing recoverable (missing, empty, or fully torn) — start over.
-        return Ok((Vec::new(), fresh_journal(path, header, fsync)?));
+        return Ok((Vec::new(), fresh_journal(path, fingerprint, fsync)?));
     }
     let head = &raw.records[0];
     let format = head.get("format").and_then(|v| v.as_u64().ok());
@@ -386,9 +403,10 @@ fn open_resume(
         )));
     }
     let head_kind = head.get("kind").and_then(|v| v.as_str().ok()).unwrap_or("");
-    if head_kind != kind {
+    if head_kind != JOURNAL_KIND {
         return Err(JournalError::Mismatch(format!(
-            "{}: journal kind is '{head_kind}', this run needs '{kind}'",
+            "{}: journal kind is '{head_kind}', this build resumes only \
+             '{JOURNAL_KIND}' journals; delete the journal or drop --resume to start over",
             path.display()
         )));
     }
@@ -416,7 +434,17 @@ fn open_resume(
 }
 
 // ---------------------------------------------------------------------------
-// Small codecs shared by both journal kinds.
+// Record codecs.
+
+/// Start a journal record: its kind plus the index it belongs to —
+/// `"unit"` for exploration records, `"t"` (test) for verdict and corpus
+/// records. Every journal record carries one.
+fn record_head(kind: &str, tag: &str, index: usize) -> Vec<(String, Json)> {
+    vec![
+        ("rec".to_string(), Json::Str(kind.to_string())),
+        (tag.to_string(), Json::UInt(index as u64)),
+    ]
+}
 
 /// Decision sequence as a compact bitstring ("01…").
 fn bits_out(bits: &[bool]) -> Json {
@@ -485,19 +513,7 @@ pub(crate) fn budget_in(v: &Json) -> Result<SolverBudget, String> {
 }
 
 // ---------------------------------------------------------------------------
-// Phase-1 journals (one per agent/test exploration).
-
-/// Options for a journaled (durable) exploration.
-#[derive(Debug, Clone, Copy)]
-pub struct DurableRun<'a> {
-    /// Journal file path.
-    pub journal: &'a Path,
-    /// Resume from an existing journal instead of starting fresh.
-    pub resume: bool,
-    /// fsync each journal append and artifact publish (disable only for
-    /// benchmarks; a crash may then lose the journal tail).
-    pub fsync: bool,
-}
+// Exploration records.
 
 /// Identity of one phase-1 exploration, for refusing to resume a journal
 /// written under a different configuration. Hashes only process-stable
@@ -520,19 +536,6 @@ pub fn phase1_fingerprint(
         &format!("{:?}", cfg.strategy),
         &cfg.max_depth.to_string(),
         &budget_out(&cfg.solver_budget).to_string(),
-    ])
-}
-
-fn phase1_header(agent: AgentRef, test: &TestCase, fingerprint: &str) -> Json {
-    Json::Object(vec![
-        ("format".to_string(), Json::UInt(1)),
-        ("kind".to_string(), Json::Str("phase1".to_string())),
-        ("agent".to_string(), Json::Str(agent.id().to_string())),
-        ("test".to_string(), Json::Str(test.id.to_string())),
-        (
-            "fingerprint".to_string(),
-            Json::Str(fingerprint.to_string()),
-        ),
     ])
 }
 
@@ -587,14 +590,9 @@ fn outcome_tag(outcome: &PathOutcome) -> &'static str {
 /// One distinct normalized output, stored once and referenced by id from
 /// every path record that produced it. Most paths share few distinct
 /// outputs (the grouping premise), so this keeps the journal — and the
-/// per-path serialization cost — small. Session journals tag each record
-/// with the (agent, test) unit it belongs to; phase-1 journals hold one
-/// unit and carry no tag.
-fn output_record(unit: Option<u64>, oid: u64, events: &[soft_protocol::TraceEvent]) -> Json {
-    let mut fields = vec![("rec".to_string(), Json::Str("output".to_string()))];
-    if let Some(u) = unit {
-        fields.push(("unit".to_string(), Json::UInt(u)));
-    }
+/// per-path serialization cost — small.
+fn output_record(unit: usize, oid: u64, events: &[soft_protocol::TraceEvent]) -> Json {
+    let mut fields = record_head("output", "unit", unit);
     fields.push(("oid".to_string(), Json::UInt(oid)));
     fields.push((
         "events".to_string(),
@@ -623,16 +621,13 @@ fn parse_output_record(v: &Json) -> Result<(u64, Vec<EventFile>), String> {
 /// the path's `output` record; aborted paths carry no observable output
 /// (summarize drops them) and journal no reference.
 fn path_record(
-    unit: Option<u64>,
+    unit: usize,
     origin: &[bool],
     result: &PathResult<soft_protocol::TraceEvent>,
     pending: &[(Vec<bool>, &str)],
     oid: Option<u64>,
 ) -> Json {
-    let mut fields = vec![("rec".to_string(), Json::Str("path".to_string()))];
-    if let Some(u) = unit {
-        fields.push(("unit".to_string(), Json::UInt(u)));
-    }
+    let mut fields = record_head("path", "unit", unit);
     fields.extend([
         ("origin".to_string(), bits_out(origin)),
         ("decisions".to_string(), bits_out(&result.decisions)),
@@ -731,115 +726,6 @@ fn build_seed(recorded: &BTreeMap<Vec<bool>, RecordedPath>) -> ResumeSeed {
     }
 }
 
-/// Journal state shared by the workers: the writer plus the dedup table
-/// mapping each distinct normalized output (keyed by interned-term
-/// identity, so hashing is cheap and process-local) to its output id.
-struct SinkState {
-    writer: JournalWriter,
-    outputs: HashMap<Vec<soft_protocol::TraceEvent>, u64>,
-    next_oid: u64,
-}
-
-/// The write-ahead hook: journal each freshly explored path before its
-/// siblings become claimable. A path's `output` record (if its output is
-/// new) is appended immediately before the path record under one lock
-/// hold, so any surviving journal prefix resolves every reference. I/O
-/// failures are stashed (the sink trait is infallible) and surfaced
-/// after exploration. One `SharedSink` backs either a single phase-1
-/// journal or every unit of a session journal (the output dedup table
-/// and oid counter are deliberately shared: units of one session often
-/// produce identical normalized outputs).
-struct SharedSink {
-    state: Mutex<SinkState>,
-    failed: Mutex<Option<io::Error>>,
-}
-
-impl SharedSink {
-    fn new(writer: JournalWriter, next_oid: u64) -> SharedSink {
-        SharedSink {
-            state: Mutex::new(SinkState {
-                writer,
-                outputs: HashMap::new(),
-                next_oid,
-            }),
-            failed: Mutex::new(None),
-        }
-    }
-
-    fn stash(&self, e: io::Error) {
-        let mut slot = recover(&self.failed);
-        if slot.is_none() {
-            *slot = Some(e);
-        }
-    }
-
-    fn append_json(&self, rec: &Json) {
-        let res = recover(&self.state).writer.append(rec);
-        if let Err(e) = res {
-            self.stash(e);
-        }
-    }
-
-    fn append_path(
-        &self,
-        unit: Option<u64>,
-        origin: &[bool],
-        result: &PathResult<soft_protocol::TraceEvent>,
-        pending: &[(Vec<bool>, &str)],
-    ) {
-        let events = match result.outcome {
-            PathOutcome::Aborted(_) => None,
-            _ => Some(normalize_trace(&result.trace)),
-        };
-        let mut st = recover(&self.state);
-        let oid = events.map(|ev| match st.outputs.get(&ev) {
-            Some(&oid) => oid,
-            None => {
-                let oid = st.next_oid;
-                st.next_oid += 1;
-                let rec = output_record(unit, oid, &ev);
-                if let Err(e) = st.writer.append(&rec) {
-                    self.stash(e);
-                }
-                st.outputs.insert(ev, oid);
-                oid
-            }
-        });
-        let rec = path_record(unit, origin, result, pending, oid);
-        if let Err(e) = st.writer.append(&rec) {
-            self.stash(e);
-        }
-    }
-
-    fn finish(&self) -> Result<(), JournalError> {
-        if let Some(e) = recover(&self.failed).take() {
-            return Err(JournalError::Io(e));
-        }
-        recover(&self.state)
-            .writer
-            .flush()
-            .map_err(JournalError::Io)
-    }
-}
-
-/// One unit's view of a [`SharedSink`]: tags every record with the unit
-/// index (or nothing, for single-unit phase-1 journals).
-struct RecordSink<'a> {
-    shared: &'a SharedSink,
-    unit: Option<u64>,
-}
-
-impl PathSink<soft_protocol::TraceEvent> for RecordSink<'_> {
-    fn on_path(
-        &self,
-        origin: &[bool],
-        result: &PathResult<soft_protocol::TraceEvent>,
-        pending: &[(Vec<bool>, &str)],
-    ) {
-        self.shared.append_path(self.unit, origin, result, pending);
-    }
-}
-
 /// Compare every journaled record against the path the resumed
 /// exploration actually produced for the same decision sequence. Any
 /// divergence means the agent, test, or engine changed under the journal
@@ -908,147 +794,8 @@ fn check_resumable(cfg: &ExplorerConfig) -> Result<(), JournalError> {
     Ok(())
 }
 
-/// [`crate::run_test`] with write-ahead journaling and resume.
-///
-/// Fresh mode truncates (or creates) the journal, writes the header, and
-/// journals every explored path before its siblings become claimable.
-/// Resume mode recovers the valid journal prefix (torn tails are
-/// truncated away), refuses fingerprint mismatches, replays the
-/// journaled paths concretely — zero forks, zero fresh-branch solver
-/// queries — validates each against its record, and explores only the
-/// remaining frontier. Either way the resulting [`TestRun`] is
-/// byte-identical (modulo wall time) to an uninterrupted run at any
-/// worker count.
-pub fn run_test_durable(
-    agent: impl Into<AgentRef>,
-    test: &TestCase,
-    cfg: &ExplorerConfig,
-    opts: &DurableRun<'_>,
-) -> Result<TestRun, JournalError> {
-    let agent = agent.into();
-    check_resumable(cfg)?;
-    let fp = phase1_fingerprint(agent, test, cfg);
-    let header = phase1_header(agent, test, &fp);
-    let (records, writer) = if opts.resume {
-        open_resume(opts.journal, "phase1", &fp, &header, opts.fsync)?
-    } else {
-        (
-            Vec::new(),
-            fresh_journal(opts.journal, &header, opts.fsync)?,
-        )
-    };
-    let mut outputs: BTreeMap<u64, Arc<Vec<EventFile>>> = BTreeMap::new();
-    let mut recorded: BTreeMap<Vec<bool>, RecordedPath> = BTreeMap::new();
-    for r in &records {
-        match r.field("rec").and_then(Json::as_str) {
-            Ok("output") => {
-                let (oid, events) = parse_output_record(r).map_err(JournalError::Corrupt)?;
-                outputs.insert(oid, Arc::new(events));
-            }
-            Ok("path") => {
-                let (decisions, rec) =
-                    parse_path_record(r, &outputs).map_err(JournalError::Corrupt)?;
-                if let Some(prev) = recorded.get(&decisions) {
-                    if *prev != rec {
-                        return Err(JournalError::Corrupt(format!(
-                            "conflicting duplicate records for one decision sequence \
-                             ({} records)",
-                            records.len()
-                        )));
-                    }
-                    continue;
-                }
-                recorded.insert(decisions, rec);
-            }
-            Ok(other) => {
-                return Err(JournalError::Corrupt(format!(
-                    "unknown record kind '{other}'"
-                )));
-            }
-            Err(e) => return Err(JournalError::Corrupt(e)),
-        }
-    }
-    let seed = build_seed(&recorded);
-    let seed_opt = if seed.is_empty() { None } else { Some(&seed) };
-    // Resumed outputs are not rehydrated into the dedup table (journal ids
-    // are not interned-term identities), so a resumed run may re-journal a
-    // previously seen output under a fresh oid; that is redundant but
-    // harmless, as long as fresh oids never collide with recovered ones.
-    let next_oid = outputs.keys().next_back().map_or(0, |m| m + 1);
-    let shared = SharedSink::new(writer, next_oid);
-    let sink = RecordSink {
-        shared: &shared,
-        unit: None,
-    };
-    let ex = explore_fn_seeded(cfg, agent_program(agent, test), seed_opt, Some(&sink));
-    shared.finish()?;
-    validate_replay(&recorded, &ex.paths)?;
-    Ok(summarize(agent, test, ex))
-}
-
-/// [`crate::run_matrix`] with per-combination journaling: every
-/// (agent, test) pair gets its own journal (`journal_for` maps the pair
-/// to a path) and its own resumability. Engine panics degrade the
-/// combination exactly as the plain matrix does; journal errors are
-/// reported per combination so one damaged journal cannot sink the rest.
-pub fn run_matrix_durable<A: Into<AgentRef> + Copy>(
-    agents: &[A],
-    tests: &[TestCase],
-    cfg: &ExplorerConfig,
-    jobs: usize,
-    journal_for: &(dyn Fn(&str, &str) -> PathBuf + Sync),
-    resume: bool,
-    fsync: bool,
-) -> Vec<Result<TestRun, JournalError>> {
-    let combos: Vec<(AgentRef, &TestCase)> = agents
-        .iter()
-        .flat_map(|a| tests.iter().map(move |t| ((*a).into(), t)))
-        .collect();
-    let run_one = |a: AgentRef, t: &TestCase| -> Result<TestRun, JournalError> {
-        let path = journal_for(a.id(), t.id);
-        let opts = DurableRun {
-            journal: &path,
-            resume,
-            fsync,
-        };
-        match std::panic::catch_unwind(AssertUnwindSafe(|| run_test_durable(a, t, cfg, &opts))) {
-            Ok(r) => r,
-            // Engine panic: same degradation as the plain matrix — the
-            // combination reports itself truncated instead of aborting
-            // the process (its journal stays resumable).
-            Err(_) => Ok(degraded_run(a, t)),
-        }
-    };
-    if jobs <= 1 {
-        return combos.into_iter().map(|(a, t)| run_one(a, t)).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<Option<Result<TestRun, JournalError>>>> =
-        Mutex::new((0..combos.len()).map(|_| None).collect());
-    std::thread::scope(|scope| {
-        for _ in 0..jobs.min(combos.len().max(1)) {
-            scope.spawn(|| loop {
-                let k = next.fetch_add(1, Ordering::Relaxed);
-                if k >= combos.len() {
-                    break;
-                }
-                let (a, t) = combos[k];
-                let run = run_one(a, t);
-                recover(&results)[k] = Some(run);
-            });
-        }
-    });
-    results
-        .into_inner()
-        .unwrap_or_else(|e| e.into_inner())
-        .into_iter()
-        .zip(&combos)
-        .map(|(r, (a, t))| r.unwrap_or_else(|| Ok(degraded_run(*a, t))))
-        .collect()
-}
-
 // ---------------------------------------------------------------------------
-// Crosscheck (phase-2) journals.
+// Verdict records.
 
 /// Identity of one crosscheck run: both artifact texts plus the solver
 /// settings string (budget and retry ladder). Artifacts are hashed as
@@ -1072,21 +819,30 @@ pub struct VerdictRec {
     pub budget: SolverBudget,
 }
 
+/// A verdict as a JSON object: an element of a store entry's verdict
+/// list. The journal's `verdict` record carries the same fields plus its
+/// test tag.
 pub(crate) fn verdict_record(
-    t: Option<u64>,
     i: usize,
     j: usize,
     verdict: &SatResult,
     budget: &SolverBudget,
 ) -> Json {
     let mut fields = vec![("rec".to_string(), Json::Str("verdict".to_string()))];
-    if let Some(t) = t {
-        fields.push(("t".to_string(), Json::UInt(t)));
-    }
-    fields.extend([
+    fields.extend(verdict_fields(i, j, verdict, budget));
+    Json::Object(fields)
+}
+
+fn verdict_fields(
+    i: usize,
+    j: usize,
+    verdict: &SatResult,
+    budget: &SolverBudget,
+) -> Vec<(String, Json)> {
+    let mut fields = vec![
         ("i".to_string(), Json::UInt(i as u64)),
         ("j".to_string(), Json::UInt(j as u64)),
-    ]);
+    ];
     match verdict {
         SatResult::Sat(model) => {
             let mut pairs: Vec<(&str, u64)> = model.iter().collect();
@@ -1108,7 +864,7 @@ pub(crate) fn verdict_record(
         }
     }
     fields.push(("budget".to_string(), budget_out(budget)));
-    Json::Object(fields)
+    fields
 }
 
 pub(crate) fn parse_verdict_record(v: &Json) -> Result<VerdictRec, String> {
@@ -1143,74 +899,9 @@ pub(crate) fn parse_verdict_record(v: &Json) -> Result<VerdictRec, String> {
     })
 }
 
-/// Write-ahead journal for crosscheck verdicts. Thread-safe; I/O errors
-/// are stashed and surfaced via [`CheckJournal::take_error`].
-pub struct CheckJournal {
-    writer: Mutex<JournalWriter>,
-    failed: Mutex<Option<io::Error>>,
-}
-
-impl CheckJournal {
-    /// Open (or resume) a crosscheck journal. Returns the journal handle
-    /// plus every verdict recovered from an existing valid prefix (empty
-    /// in fresh mode or when the file is missing/empty).
-    pub fn open(
-        path: &Path,
-        resume: bool,
-        fsync: bool,
-        fingerprint: &str,
-    ) -> Result<(CheckJournal, Vec<VerdictRec>), JournalError> {
-        let header = Json::Object(vec![
-            ("format".to_string(), Json::UInt(1)),
-            ("kind".to_string(), Json::Str("check".to_string())),
-            (
-                "fingerprint".to_string(),
-                Json::Str(fingerprint.to_string()),
-            ),
-        ]);
-        let (records, writer) = if resume {
-            open_resume(path, "check", fingerprint, &header, fsync)?
-        } else {
-            (Vec::new(), fresh_journal(path, &header, fsync)?)
-        };
-        let verdicts = records
-            .iter()
-            .map(parse_verdict_record)
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(JournalError::Corrupt)?;
-        Ok((
-            CheckJournal {
-                writer: Mutex::new(writer),
-                failed: Mutex::new(None),
-            },
-            verdicts,
-        ))
-    }
-
-    /// Append one decided (or exhausted) verdict.
-    pub fn record(&self, i: usize, j: usize, verdict: &SatResult, budget: &SolverBudget) {
-        let rec = verdict_record(None, i, j, verdict, budget);
-        let res = recover(&self.writer).append(&rec);
-        if let Err(e) = res {
-            let mut slot = recover(&self.failed);
-            if slot.is_none() {
-                *slot = Some(e);
-            }
-        }
-    }
-
-    /// The first journaling I/O failure, if any occurred. Flushes any
-    /// buffered frames first, so call this after the crosscheck finishes.
-    pub fn take_error(&self) -> Option<io::Error> {
-        if let Err(e) = recover(&self.writer).flush() {
-            return Some(e);
-        }
-        recover(&self.failed).take()
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Session journals: one WAL covering the whole streaming pipeline.
+// The session journal: the one WAL format, for `soft run` and the phased
+// commands alike.
 
 /// Identity of one streaming session: the agent pair, the test list, the
 /// exploration config, and the (opaque) crosscheck and distillation
@@ -1296,7 +987,7 @@ pub struct CorpusRec {
 
 /// Everything a session journal recovered from its valid prefix: per-unit
 /// path records, per-test crosscheck verdicts (superseding rules are the
-/// caller's concern, as with [`CheckJournal`]), and per-test finished
+/// caller's concern, see `soft_core::CheckSeeds`), and per-test finished
 /// corpora.
 pub struct SessionRecovery {
     /// One entry per exploration unit, in the caller's unit order.
@@ -1308,19 +999,33 @@ pub struct SessionRecovery {
 }
 
 /// Write-ahead journal covering a whole streaming session: path, output,
-/// verdict, and corpus records interleaved in one file. Thread-safe; I/O
-/// errors are stashed and surfaced via [`SessionJournal::take_error`].
+/// verdict, and corpus records interleaved in one file. The phased
+/// commands open the same journal with one unit (`phase1`) or one test
+/// (`check`, `distill`). Thread-safe; I/O errors are stashed (the sink
+/// traits are infallible) and surfaced via [`SessionJournal::take_error`].
 pub struct SessionJournal {
-    shared: SharedSink,
+    state: Mutex<SinkState>,
+    failed: Mutex<Option<io::Error>>,
 }
 
-/// The unit indices a session journal will accept, fixed at open time so
-/// corrupt records cannot allocate unbounded recovery state.
+/// Journal state shared by the workers: the writer plus the dedup table
+/// mapping each distinct normalized output (keyed by interned-term
+/// identity, so hashing is cheap and process-local) to its output id.
+/// The table and oid counter are shared by all units: units of one
+/// session often produce identical normalized outputs.
+struct SinkState {
+    writer: JournalWriter,
+    outputs: HashMap<Vec<soft_protocol::TraceEvent>, u64>,
+    next_oid: u64,
+}
+
 impl SessionJournal {
     /// Open (or resume) a session journal for `n_units` exploration units
     /// and `n_tests` tests. Returns the journal handle plus everything
     /// recovered from an existing valid prefix (all-empty in fresh mode
-    /// or when the file is missing/empty).
+    /// or when the file is missing/empty). The unit and test counts are
+    /// fixed here so corrupt records cannot allocate unbounded recovery
+    /// state.
     pub fn open(
         path: &Path,
         resume: bool,
@@ -1329,18 +1034,10 @@ impl SessionJournal {
         n_units: usize,
         n_tests: usize,
     ) -> Result<(SessionJournal, SessionRecovery), JournalError> {
-        let header = Json::Object(vec![
-            ("format".to_string(), Json::UInt(1)),
-            ("kind".to_string(), Json::Str("session".to_string())),
-            (
-                "fingerprint".to_string(),
-                Json::Str(fingerprint.to_string()),
-            ),
-        ]);
         let (records, writer) = if resume {
-            open_resume(path, "session", fingerprint, &header, fsync)?
+            open_resume(path, fingerprint, fsync)?
         } else {
-            (Vec::new(), fresh_journal(path, &header, fsync)?)
+            (Vec::new(), fresh_journal(path, fingerprint, fsync)?)
         };
         let mut outputs: BTreeMap<u64, Arc<Vec<EventFile>>> = BTreeMap::new();
         let mut recovery = SessionRecovery {
@@ -1417,10 +1114,20 @@ impl SessionJournal {
                 Err(e) => return Err(JournalError::Corrupt(e)),
             }
         }
+        // Resumed outputs are not rehydrated into the dedup table (journal
+        // ids are not interned-term identities), so a resumed run may
+        // re-journal a previously seen output under a fresh oid; that is
+        // redundant but harmless, as long as fresh oids never collide with
+        // recovered ones.
         let next_oid = outputs.keys().next_back().map_or(0, |m| m + 1);
         Ok((
             SessionJournal {
-                shared: SharedSink::new(writer, next_oid),
+                state: Mutex::new(SinkState {
+                    writer,
+                    outputs: HashMap::new(),
+                    next_oid,
+                }),
+                failed: Mutex::new(None),
             },
             recovery,
         ))
@@ -1431,10 +1138,8 @@ impl SessionJournal {
     /// — they are already on record.
     pub fn unit_sink(&self, unit: usize) -> SessionUnitSink<'_> {
         SessionUnitSink {
-            inner: RecordSink {
-                shared: &self.shared,
-                unit: Some(unit as u64),
-            },
+            journal: self,
+            unit,
         }
     }
 
@@ -1447,8 +1152,9 @@ impl SessionJournal {
         verdict: &SatResult,
         budget: &SolverBudget,
     ) {
-        let rec = verdict_record(Some(test as u64), i, j, verdict, budget);
-        self.shared.append_json(&rec);
+        let mut fields = record_head("verdict", "t", test);
+        fields.extend(verdict_fields(i, j, verdict, budget));
+        self.append(&Json::Object(fields));
     }
 
     /// Journal the finished distillation for `test`: the exact corpus
@@ -1456,29 +1162,78 @@ impl SessionJournal {
     /// Written *after* the corpus artifact is published, so a journaled
     /// corpus implies the test is fully done.
     pub fn record_corpus(&self, test: usize, summary: &Json, data: &str) {
-        let rec = Json::Object(vec![
-            ("rec".to_string(), Json::Str("corpus".to_string())),
-            ("t".to_string(), Json::UInt(test as u64)),
-            ("summary".to_string(), summary.clone()),
-            ("data".to_string(), Json::Str(data.to_string())),
-        ]);
-        self.shared.append_json(&rec);
+        let mut fields = record_head("corpus", "t", test);
+        fields.push(("summary".to_string(), summary.clone()));
+        fields.push(("data".to_string(), Json::Str(data.to_string())));
+        self.append(&Json::Object(fields));
     }
 
     /// The first journaling I/O failure, if any occurred. Flushes any
     /// buffered frames first; call at unit/test boundaries and once at
     /// session end.
     pub fn take_error(&self) -> Option<io::Error> {
-        match self.shared.finish() {
-            Err(JournalError::Io(e)) => Some(e),
-            _ => None,
+        if let Some(e) = recover(&self.failed).take() {
+            return Some(e);
+        }
+        recover(&self.state).writer.flush().err()
+    }
+
+    fn stash(&self, e: io::Error) {
+        let mut slot = recover(&self.failed);
+        if slot.is_none() {
+            *slot = Some(e);
+        }
+    }
+
+    fn append(&self, rec: &Json) {
+        let res = recover(&self.state).writer.append(rec);
+        if let Err(e) = res {
+            self.stash(e);
+        }
+    }
+
+    /// The write-ahead hook: journal one freshly explored path before its
+    /// siblings become claimable. The path's `output` record (if its
+    /// output is new) is appended immediately before the path record
+    /// under one lock hold, so any surviving journal prefix resolves every
+    /// reference.
+    fn append_path(
+        &self,
+        unit: usize,
+        origin: &[bool],
+        result: &PathResult<soft_protocol::TraceEvent>,
+        pending: &[(Vec<bool>, &str)],
+    ) {
+        let events = match result.outcome {
+            PathOutcome::Aborted(_) => None,
+            _ => Some(normalize_trace(&result.trace)),
+        };
+        let mut st = recover(&self.state);
+        let oid = events.map(|ev| match st.outputs.get(&ev) {
+            Some(&oid) => oid,
+            None => {
+                let oid = st.next_oid;
+                st.next_oid += 1;
+                let rec = output_record(unit, oid, &ev);
+                if let Err(e) = st.writer.append(&rec) {
+                    self.stash(e);
+                }
+                st.outputs.insert(ev, oid);
+                oid
+            }
+        });
+        let rec = path_record(unit, origin, result, pending, oid);
+        if let Err(e) = st.writer.append(&rec) {
+            self.stash(e);
         }
     }
 }
 
-/// One unit's [`PathSink`] view of a [`SessionJournal`].
+/// One unit's [`PathSink`] view of a [`SessionJournal`]: tags every
+/// record with the unit index.
 pub struct SessionUnitSink<'a> {
-    inner: RecordSink<'a>,
+    journal: &'a SessionJournal,
+    unit: usize,
 }
 
 impl PathSink<soft_protocol::TraceEvent> for SessionUnitSink<'_> {
@@ -1488,17 +1243,19 @@ impl PathSink<soft_protocol::TraceEvent> for SessionUnitSink<'_> {
         result: &PathResult<soft_protocol::TraceEvent>,
         pending: &[(Vec<bool>, &str)],
     ) {
-        self.inner.on_path(origin, result, pending);
+        self.journal.append_path(self.unit, origin, result, pending);
     }
 }
 
-/// Explore one (agent, test) unit of a streaming session: seed from the
-/// recovered unit state (an empty recovery explores from scratch), emit
-/// every path — fresh or replayed — through `sink` (typically a tee of
-/// [`SessionJournal::unit_sink`] and a streaming consumer), validate the
-/// replay against the journal, and summarize. Byte-identical (modulo
-/// wall time) to [`run_test_durable`] for the same unit at any worker
-/// count.
+/// Explore one (agent, test) unit with write-ahead journaling and
+/// resume: seed from the recovered unit state (an empty recovery
+/// explores from scratch), emit every path — fresh or replayed — through
+/// `sink` (a [`SessionJournal::unit_sink`], possibly teed with a
+/// streaming consumer), validate the replay against the journal, and
+/// summarize. Replayed paths re-execute concretely — zero forks, zero
+/// fresh-branch solver queries. The resulting [`TestRun`] is
+/// byte-identical (modulo wall time) to [`crate::run_test`] for the same
+/// unit at any worker count, interrupted or not.
 pub fn run_unit_durable(
     agent: impl Into<AgentRef>,
     test: &TestCase,
@@ -1594,7 +1351,7 @@ mod tests {
 
     #[test]
     fn atomic_write_replaces_whole_file() {
-        let path = temp_path("atomic");
+        let path = temp_path("atomic_replace");
         atomic_write(&path, b"first version", true).unwrap();
         assert_eq!(fs::read(&path).unwrap(), b"first version");
         atomic_write(&path, b"second", false).unwrap();
@@ -1696,8 +1453,7 @@ mod tests {
             (SatResult::Unknown, SolverBudget::conflicts(1)),
         ];
         for (k, (verdict, budget)) in cases.iter().enumerate() {
-            let rec =
-                parse_verdict_record(&verdict_record(None, k, k + 1, verdict, budget)).unwrap();
+            let rec = parse_verdict_record(&verdict_record(k, k + 1, verdict, budget)).unwrap();
             assert_eq!(rec.i, k);
             assert_eq!(rec.j, k + 1);
             assert_eq!(rec.budget, *budget);
@@ -1710,6 +1466,25 @@ mod tests {
         }
     }
 
+    /// One phase-1 exploration through the session journal, the way
+    /// `soft phase1` runs it: one unit, no tests, keyed by the phase-1
+    /// fingerprint.
+    fn phase1_journaled(
+        agent: AgentKind,
+        test: &TestCase,
+        cfg: &ExplorerConfig,
+        path: &Path,
+        resume: bool,
+    ) -> Result<TestRun, JournalError> {
+        let fp = phase1_fingerprint(agent, test, cfg);
+        let (journal, recovery) = SessionJournal::open(path, resume, false, &fp, 1, 0)?;
+        let run = run_unit_durable(agent, test, cfg, &recovery.units[0], &journal.unit_sink(0))?;
+        match journal.take_error() {
+            Some(e) => Err(JournalError::Io(e)),
+            None => Ok(run),
+        }
+    }
+
     #[test]
     fn durable_run_matches_plain_run() {
         let tests = suite::table1_suite();
@@ -1718,17 +1493,7 @@ mod tests {
         let cfg = ExplorerConfig::default();
         let plain = crate::run_test(agent, test, &cfg);
         let path = temp_path("fresh_run");
-        let run = run_test_durable(
-            agent,
-            test,
-            &cfg,
-            &DurableRun {
-                journal: &path,
-                resume: false,
-                fsync: false,
-            },
-        )
-        .unwrap();
+        let run = phase1_journaled(agent, test, &cfg, &path, false).unwrap();
         assert_eq!(
             crate::wire::TestRunFile::from_run(&run).paths,
             crate::wire::TestRunFile::from_run(&plain).paths
@@ -1743,12 +1508,7 @@ mod tests {
         let test = &tests[0];
         let cfg = ExplorerConfig::default();
         let path = temp_path("resume_full");
-        let opts = DurableRun {
-            journal: &path,
-            resume: false,
-            fsync: false,
-        };
-        let first = run_test_durable(agent, test, &cfg, &opts).unwrap();
+        let first = phase1_journaled(agent, test, &cfg, &path, false).unwrap();
         let journal_after_first = fs::read(&path).unwrap();
         // Resume with a different worker count: replay everything, fork
         // nothing, append nothing.
@@ -1756,17 +1516,7 @@ mod tests {
             workers: 4,
             ..ExplorerConfig::default()
         };
-        let resumed = run_test_durable(
-            agent,
-            test,
-            &cfg4,
-            &DurableRun {
-                journal: &path,
-                resume: true,
-                fsync: false,
-            },
-        )
-        .unwrap();
+        let resumed = phase1_journaled(agent, test, &cfg4, &path, true).unwrap();
         assert_eq!(
             crate::wire::TestRunFile::from_run(&first).paths,
             crate::wire::TestRunFile::from_run(&resumed).paths
@@ -1783,14 +1533,9 @@ mod tests {
         let test = &tests[0];
         let cfg = ExplorerConfig::default();
         let path = temp_path("resume_cut");
-        let opts = DurableRun {
-            journal: &path,
-            resume: false,
-            fsync: false,
-        };
-        let reference = run_test_durable(agent, test, &cfg, &opts).unwrap();
-        // Keep the header plus the first two path records; drop the rest
-        // plus simulate a torn final append.
+        let reference = phase1_journaled(agent, test, &cfg, &path, false).unwrap();
+        // Keep the header plus the first two records; drop the rest plus
+        // simulate a torn final append.
         let bytes = fs::read(&path).unwrap();
         let raw = scan_records(&bytes);
         assert!(raw.records.len() > 3, "need a few records to cut");
@@ -1802,17 +1547,7 @@ mod tests {
         let mut cut = bytes[..keep].to_vec();
         cut.extend_from_slice(&77u32.to_le_bytes()); // torn tail
         fs::write(&path, &cut).unwrap();
-        let resumed = run_test_durable(
-            agent,
-            test,
-            &cfg,
-            &DurableRun {
-                journal: &path,
-                resume: true,
-                fsync: false,
-            },
-        )
-        .unwrap();
+        let resumed = phase1_journaled(agent, test, &cfg, &path, true).unwrap();
         assert_eq!(
             crate::wire::TestRunFile::from_run(&reference).paths,
             crate::wire::TestRunFile::from_run(&resumed).paths
@@ -1837,29 +1572,10 @@ mod tests {
         let tests = suite::table1_suite();
         let cfg = ExplorerConfig::default();
         let path = temp_path("foreign");
-        run_test_durable(
-            AgentKind::Reference,
-            &tests[0],
-            &cfg,
-            &DurableRun {
-                journal: &path,
-                resume: false,
-                fsync: false,
-            },
-        )
-        .unwrap();
+        phase1_journaled(AgentKind::Reference, &tests[0], &cfg, &path, false).unwrap();
         // Same journal, different agent: must refuse, not fabricate.
-        let err = run_test_durable(
-            AgentKind::OpenVSwitch,
-            &tests[0],
-            &cfg,
-            &DurableRun {
-                journal: &path,
-                resume: true,
-                fsync: false,
-            },
-        )
-        .unwrap_err();
+        let err =
+            phase1_journaled(AgentKind::OpenVSwitch, &tests[0], &cfg, &path, true).unwrap_err();
         assert!(matches!(err, JournalError::Mismatch(_)), "got {err}");
         fs::remove_file(&path).unwrap();
     }
@@ -1878,31 +1594,26 @@ mod tests {
                 ..ExplorerConfig::default()
             },
         ] {
-            let err = run_test_durable(
-                AgentKind::Reference,
-                &tests[0],
-                &cfg,
-                &DurableRun {
-                    journal: &path,
-                    resume: false,
-                    fsync: false,
-                },
-            )
-            .unwrap_err();
+            let err =
+                phase1_journaled(AgentKind::Reference, &tests[0], &cfg, &path, false).unwrap_err();
             assert!(matches!(err, JournalError::Unsupported(_)), "got {err}");
         }
+        fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn check_journal_roundtrips_and_resumes() {
+        // `soft check` opens the session journal with no units and one
+        // test, keyed by the check fingerprint.
         let path = temp_path("checkj");
         let fp = check_fingerprint("artifact-a", "artifact-b", "budget=10");
-        let (j, seeds) = CheckJournal::open(&path, false, false, &fp).unwrap();
-        assert!(seeds.is_empty());
-        j.record(0, 1, &SatResult::Unsat, &SolverBudget::conflicts(10));
+        let (j, rec) = SessionJournal::open(&path, false, false, &fp, 0, 1).unwrap();
+        assert!(rec.verdicts[0].is_empty());
+        j.record_verdict(0, 0, 1, &SatResult::Unsat, &SolverBudget::conflicts(10));
         let mut model = Assignment::new();
         model.set("w.x", 3);
-        j.record(
+        j.record_verdict(
+            0,
             2,
             0,
             &SatResult::Sat(Arc::new(model)),
@@ -1910,17 +1621,46 @@ mod tests {
         );
         assert!(j.take_error().is_none());
         drop(j);
-        let (_j2, seeds) = CheckJournal::open(&path, true, false, &fp).unwrap();
+        let (_j2, rec) = SessionJournal::open(&path, true, false, &fp, 0, 1).unwrap();
+        let seeds = &rec.verdicts[0];
         assert_eq!(seeds.len(), 2);
         assert!(seeds[0].verdict.is_unsat());
         assert_eq!(seeds[1].i, 2);
         assert_eq!(seeds[1].verdict.model().unwrap().get("w.x"), Some(3));
         // Wrong fingerprint refuses.
-        let err = match CheckJournal::open(&path, true, false, "0000000000000000") {
+        let err = match SessionJournal::open(&path, true, false, "0000000000000000", 0, 1) {
             Ok(_) => panic!("foreign fingerprint accepted"),
             Err(e) => e,
         };
         assert!(matches!(err, JournalError::Mismatch(_)));
+        fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn resume_refuses_retired_journal_kinds() {
+        // Older builds wrote per-phase `phase1` and `check` journals in
+        // the same container. Their records are untagged, so resuming one
+        // must refuse up front instead of parsing it.
+        let path = temp_path("retired");
+        let fp = "00000000000000cd";
+        for kind in ["phase1", "check"] {
+            let head = format!(r#"{{"format":1,"kind":"{kind}","fingerprint":"{fp}"}}"#);
+            write_records(
+                &path,
+                &[
+                    &head,
+                    r#"{"rec":"verdict","i":0,"j":0,"verdict":"unsat","budget":{}}"#,
+                ],
+            );
+            let err = match SessionJournal::open(&path, true, false, fp, 1, 1) {
+                Ok(_) => panic!("'{kind}' journal accepted"),
+                Err(e) => e,
+            };
+            assert!(
+                matches!(err, JournalError::Mismatch(_)),
+                "{kind}: got {err}"
+            );
+        }
         fs::remove_file(&path).unwrap();
     }
 

@@ -22,9 +22,9 @@ pub mod wire;
 
 pub use input::{Input, TestCase};
 pub use journal::{
-    atomic_write, check_fingerprint, fnv64_hex, phase1_fingerprint, run_matrix_durable,
-    run_test_durable, run_unit_durable, session_fingerprint, CheckJournal, CorpusRec, DurableRun,
-    JournalError, SessionJournal, SessionRecovery, SessionUnitSink, UnitRecovery, VerdictRec,
+    atomic_write, check_fingerprint, fnv64_hex, phase1_fingerprint, run_unit_durable,
+    session_fingerprint, CorpusRec, JournalError, SessionJournal, SessionRecovery, SessionUnitSink,
+    UnitRecovery, VerdictRec,
 };
 pub use proto::JobSpec;
 pub use recorded::{symbolize_frame, RecordedTrace, Symbolize};

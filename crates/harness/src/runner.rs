@@ -135,31 +135,48 @@ pub(crate) fn agent_program(
     }
 }
 
-/// Run every (agent, test) combination — SOFT phase 1 over a whole suite —
-/// fanning the combinations across `jobs` worker threads.
+/// Run `explore` on every (agent, test) combination — SOFT phase 1 over a
+/// whole suite — fanning the combinations across `jobs` worker threads.
+/// `explore` is typically [`run_test`], or a journaled exploration
+/// through [`crate::run_unit_durable`].
 ///
 /// Each combination is an independent exploration (own solver, own verdict
 /// cache), and the results come back in agent-major, test-minor order no
 /// matter how many threads ran them, so `jobs = N` output equals
 /// `jobs = 1` output exactly.
-pub fn run_matrix<A: Into<AgentRef> + Copy>(
-    agents: &[A],
+///
+/// Engine-panic containment: agent panics are already converted to crash
+/// outputs inside the explorer, so an unwind escaping `explore` means the
+/// exploration *machinery* failed. The matrix must still complete and say
+/// so — the combination degrades to an empty, truncated [`TestRun`] with
+/// `engine_panics` set, never to a process abort that discards every
+/// other combination.
+pub fn run_matrix<E, F>(
+    agents: &[AgentRef],
     tests: &[TestCase],
-    cfg: &ExplorerConfig,
     jobs: usize,
-) -> Vec<TestRun> {
+    explore: F,
+) -> Vec<Result<TestRun, E>>
+where
+    E: Send,
+    F: Fn(AgentRef, &TestCase) -> Result<TestRun, E> + Sync,
+{
     let combos: Vec<(AgentRef, &TestCase)> = agents
         .iter()
-        .flat_map(|a| tests.iter().map(move |t| ((*a).into(), t)))
+        .flat_map(|&a| tests.iter().map(move |t| (a, t)))
         .collect();
+    let run_contained = |a: AgentRef, t: &TestCase| {
+        std::panic::catch_unwind(AssertUnwindSafe(|| explore(a, t)))
+            .unwrap_or_else(|_| Ok(degraded_run(a, t)))
+    };
     if jobs <= 1 {
         return combos
             .into_iter()
-            .map(|(a, t)| run_test_contained(a, t, cfg))
+            .map(|(a, t)| run_contained(a, t))
             .collect();
     }
     let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<Option<TestRun>>> =
+    let results: Mutex<Vec<Option<Result<TestRun, E>>>> =
         Mutex::new((0..combos.len()).map(|_| None).collect());
     std::thread::scope(|scope| {
         for _ in 0..jobs.min(combos.len().max(1)) {
@@ -169,7 +186,7 @@ pub fn run_matrix<A: Into<AgentRef> + Copy>(
                     break;
                 }
                 let (a, t) = combos[k];
-                let run = run_test_contained(a, t, cfg);
+                let run = run_contained(a, t);
                 recover(&results)[k] = Some(run);
             });
         }
@@ -181,24 +198,13 @@ pub fn run_matrix<A: Into<AgentRef> + Copy>(
         .unwrap_or_else(|e| e.into_inner())
         .into_iter()
         .zip(&combos)
-        .map(|(r, (a, t))| r.unwrap_or_else(|| degraded_run(*a, t)))
+        .map(|(r, (a, t))| r.unwrap_or_else(|| Ok(degraded_run(*a, t))))
         .collect()
-}
-
-/// Run one combination with engine-panic containment: agent panics are
-/// already converted to crash outputs inside the explorer, so an unwind
-/// escaping [`run_test`] means the exploration *machinery* failed. The
-/// matrix must still complete and say so — the combination degrades to an
-/// empty, truncated [`TestRun`] with `engine_panics` set, never to a
-/// process abort that discards every other combination.
-fn run_test_contained(agent: AgentRef, test: &TestCase, cfg: &ExplorerConfig) -> TestRun {
-    std::panic::catch_unwind(AssertUnwindSafe(|| run_test(agent, test, cfg)))
-        .unwrap_or_else(|_| degraded_run(agent, test))
 }
 
 /// Placeholder result for a combination whose exploration engine panicked:
 /// no paths, flagged truncated, one engine panic on record.
-pub(crate) fn degraded_run(agent: AgentRef, test: &TestCase) -> TestRun {
+fn degraded_run(agent: AgentRef, test: &TestCase) -> TestRun {
     TestRun {
         agent: agent.id().to_string(),
         test: test.id.to_string(),

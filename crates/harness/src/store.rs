@@ -114,7 +114,7 @@ impl StoreEntry {
                 Json::Array(
                     self.verdicts
                         .iter()
-                        .map(|r| verdict_record(None, r.i, r.j, &r.verdict, &r.budget))
+                        .map(|r| verdict_record(r.i, r.j, &r.verdict, &r.budget))
                         .collect(),
                 ),
             ),

@@ -1,10 +1,11 @@
-//! # soft-serve — daemon signal plumbing
+//! # soft-serve — signal plumbing
 //!
-//! The one thing the `soft serve` daemon needs that safe, dependency-free
-//! Rust cannot express: a SIGTERM latch. The rest of the workspace
-//! forbids `unsafe`; this crate exists to confine the single
-//! `signal(2)` registration (std already links libc) to an auditable
-//! corner. The handler does the only thing that is async-signal-safe —
+//! The two things the `soft` CLI needs that safe, dependency-free Rust
+//! cannot express: a SIGTERM latch for the `soft serve` daemon, and the
+//! default SIGPIPE disposition for the one-shot commands. The rest of
+//! the workspace forbids `unsafe`; this crate exists to confine the
+//! `signal(2)` calls (std already links libc) to an auditable corner.
+//! The SIGTERM handler does the only thing that is async-signal-safe —
 //! it stores into a static atomic — and the daemon's accept loop polls
 //! the latch to begin a graceful drain.
 //!
@@ -24,13 +25,16 @@ mod imp {
     use super::SIGTERMS;
     use std::sync::atomic::Ordering;
 
+    const SIGPIPE: i32 = 13;
     const SIGTERM: i32 = 15;
-    /// `sighandler_t` on every libc Rust targets: a function address.
-    type Handler = extern "C" fn(i32);
+    /// `SIG_DFL`: the default disposition.
+    const SIG_DFL: usize = 0;
 
     extern "C" {
         /// `signal(2)` from the platform libc (linked by std on unix).
-        fn signal(signum: i32, handler: Handler) -> usize;
+        /// `sighandler_t` on every libc Rust targets is a function
+        /// address, or one of the `SIG_*` constants.
+        fn signal(signum: i32, handler: usize) -> usize;
     }
 
     /// The handler itself: a single relaxed store, which is
@@ -44,8 +48,14 @@ mod imp {
         // `on_sigterm` is `extern "C" fn(i32)` matching `sighandler_t`,
         // and its body is restricted to one atomic store, which POSIX
         // permits in a signal handler. SIG_ERR is (usize)-1.
-        let prev = unsafe { signal(SIGTERM, on_sigterm) };
+        let prev = unsafe { signal(SIGTERM, on_sigterm as extern "C" fn(i32) as usize) };
         prev != usize::MAX
+    }
+
+    pub fn default_sigpipe() {
+        // SAFETY: `signal` is the libc prototype declared above, and
+        // SIG_DFL installs no handler at all.
+        unsafe { signal(SIGPIPE, SIG_DFL) };
     }
 }
 
@@ -55,6 +65,10 @@ mod imp {
         // No SIGTERM on this platform; the latch simply never fires.
         false
     }
+
+    pub fn default_sigpipe() {
+        // No SIGPIPE on this platform.
+    }
 }
 
 /// Install the SIGTERM handler. Returns `false` if registration failed
@@ -62,6 +76,16 @@ mod imp {
 /// fires and the daemon only stops via the `drain` protocol message.
 pub fn install_sigterm_latch() -> bool {
     imp::install()
+}
+
+/// Restore the default SIGPIPE disposition, which Rust programs start
+/// with ignored: a write to a pipe whose reader is gone then ends the
+/// process quietly, as for any Unix filter, instead of surfacing as an
+/// `EPIPE` error that `println!` turns into a panic. Only for commands
+/// that write to stdout and exit; daemons keep SIGPIPE ignored so a peer
+/// that hangs up cannot kill them.
+pub fn default_sigpipe() {
+    imp::default_sigpipe()
 }
 
 /// Number of SIGTERMs received so far: `0` = keep serving, `1` = drain

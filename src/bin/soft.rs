@@ -15,27 +15,31 @@
 //! soft check ref.json ovs.json
 //! soft report ref.json ovs.json --replay
 //! ```
+//!
+//! The phased commands share `soft run`'s durability machinery: `phase1`
+//! explores each combination through [`run_unit_durable`] into a
+//! [`SessionJournal`] holding one exploration unit, and `check`/`distill`
+//! journal their verdicts into one holding a single test.
 
+use soft::agents::OF10;
 use soft::conform::{
     loopback_self_test_with, run_conform_with, ConformReport, Connector, ExitClass,
     FaultyConnector, LoopbackDut, ReplayConfig, TcpConnector, Verdict,
 };
 use soft::core::report::{classify, dedupe, describe, describe_unverified, reproduce};
-use soft::core::{
-    crosscheck_durable, replay, CheckSeeds, CrosscheckConfig, GroupedResults, Soft, VerdictSink,
-};
+use soft::core::{crosscheck_durable, replay, CheckSeeds, CrosscheckConfig, GroupedResults, Soft};
 use soft::fleet::job::{agent_by_name, protocol_by_id};
 use soft::harness::json::Json;
 use soft::harness::{
-    atomic_write, check_fingerprint, run_matrix, run_matrix_durable, run_test_durable, suite,
-    CheckJournal, DurableRun, TestCase, TestRunFile,
+    atomic_write, check_fingerprint, phase1_fingerprint, run_matrix, run_test, run_unit_durable,
+    JournalError, SessionJournal, TestCase, TestRun, TestRunFile,
 };
-use soft::protocol::Protocol;
+use soft::protocol::{AgentRef, Protocol};
 use soft::smt::{SatResult, SolverBudget};
 use soft::witness::{
     distill, reproduce_corpus, Corpus, CorpusEntry, DistillConfig, Status, DEFAULT_SEED,
 };
-use soft::{run_session, AgentKind, SessionConfig};
+use soft::{check_settings, run_session, AgentKind, SessionConfig};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -52,28 +56,6 @@ const EXIT_TRUNCATED: u8 = 4;
 /// Exit code when a conformance DUT never accepted a connection for some
 /// witness: no behavioral claim could be made at all.
 const EXIT_UNREACHABLE: u8 = 5;
-
-fn all_tests() -> Vec<TestCase> {
-    let mut tests = suite::table1_suite();
-    tests.push(suite::queue_config());
-    tests.push(suite::timeout_flow_mod());
-    tests.extend(suite::ablation::table5_suite());
-    tests
-}
-
-fn find_test(id: &str) -> Option<TestCase> {
-    all_tests().into_iter().find(|t| t.id == id)
-}
-
-fn parse_agent(s: &str) -> Option<AgentKind> {
-    match s {
-        "reference" | "ref" => Some(AgentKind::Reference),
-        "ovs" | "openvswitch" => Some(AgentKind::OpenVSwitch),
-        "modified" => Some(AgentKind::Modified),
-        "panicky" => Some(AgentKind::Panicky),
-        _ => None,
-    }
-}
 
 /// Resolve `--protocol` (default `of10`) against the registry.
 fn parse_protocol(cmd: &str, args: &[String]) -> Result<&'static dyn Protocol, ExitCode> {
@@ -274,19 +256,19 @@ fn cmd_phase1(args: &[String]) -> ExitCode {
         Err(code) => return code,
     };
     let (jobs, budget, seed, journal) = (common.jobs, common.budget, common.seed, common.journal);
-    let agent_arg = flag_value(args, "--agent");
-    let test_arg = flag_value(args, "--test");
     let Some(out) = flag_value(args, "--out") else {
         eprintln!("phase1: missing --out");
         return usage();
     };
-    let agents: Vec<AgentKind> = match agent_arg.as_deref() {
-        Some("all") => vec![
+    let agents: Vec<AgentRef> = match flag_value(args, "--agent").as_deref() {
+        Some("all") => [
             AgentKind::Reference,
             AgentKind::OpenVSwitch,
             AgentKind::Modified,
-        ],
-        Some(a) => match parse_agent(a) {
+        ]
+        .map(AgentRef::from)
+        .to_vec(),
+        Some(a) => match agent_by_name(&OF10, a) {
             Some(k) => vec![k],
             None => {
                 eprintln!("phase1: unknown --agent '{a}'");
@@ -298,9 +280,9 @@ fn cmd_phase1(args: &[String]) -> ExitCode {
             return usage();
         }
     };
-    let tests: Vec<TestCase> = match test_arg.as_deref() {
-        Some("all") => all_tests(),
-        Some(t) => match find_test(t) {
+    let tests: Vec<TestCase> = match flag_value(args, "--test").as_deref() {
+        Some("all") => OF10.tests(),
+        Some(t) => match OF10.find_test(t) {
             Some(tc) => vec![tc],
             None => {
                 eprintln!("phase1: unknown --test '{t}' (see `soft tests`)");
@@ -312,92 +294,49 @@ fn cmd_phase1(args: &[String]) -> ExitCode {
             return usage();
         }
     };
-    if agents.len() == 1 && tests.len() == 1 {
-        // Single combination: `--jobs` parallelizes *within* the
-        // exploration; `--out` is the artifact path.
-        let (agent, test) = (agents[0], &tests[0]);
-        eprintln!("symbolically executing {} on '{}' ...", agent.id(), test.id);
-        let cfg = soft::sym::ExplorerConfig {
-            solver_budget: budget,
-            workers: jobs.max(1),
-            seed,
-            ..Default::default()
-        };
-        let run = if journal.enabled {
-            let jpath = PathBuf::from(journal.path.clone().unwrap_or_else(|| format!("{out}.wal")));
-            match run_test_durable(
-                agent,
-                test,
-                &cfg,
-                &DurableRun {
-                    journal: &jpath,
-                    resume: journal.resume,
-                    fsync: journal.fsync,
-                },
-            ) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("phase1: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
+    // A single combination spends `--jobs` *within* its exploration and
+    // `--out` is the artifact path. Matrix mode (`--agent all` and/or
+    // `--test all`) fans `--jobs` out across the agent x test
+    // combinations and `--out` is a prefix: one artifact
+    // `<out><agent>_<test>.json` per combination. Each artifact's journal
+    // is `<artifact>.wal` unless `--journal` names the single one's.
+    let single = agents.len() == 1 && tests.len() == 1;
+    let artifact_path = |agent: &str, test: &str| {
+        if single {
+            out.clone()
         } else {
-            soft::harness::run_test(agent, test, &cfg)
+            format!("{out}{agent}_{test}.json")
+        }
+    };
+    let cfg = soft::sym::ExplorerConfig {
+        solver_budget: budget,
+        workers: if single { jobs } else { 1 },
+        seed,
+        ..Default::default()
+    };
+    let explore = |agent: AgentRef, test: &TestCase| -> Result<TestRun, JournalError> {
+        if !journal.enabled {
+            return Ok(run_test(agent, test, &cfg));
+        }
+        let path = match &journal.path {
+            Some(p) if single => PathBuf::from(p),
+            _ => PathBuf::from(format!("{}.wal", artifact_path(agent.id(), test.id))),
         };
-        let artifact = TestRunFile::from_run(&run);
-        eprintln!(
-            "  {} paths, instruction coverage {:.1}%, wall {} ms",
-            artifact.paths.len(),
-            artifact.instruction_pct,
-            artifact.wall_ms
-        );
-        if let Err(e) = atomic_write(
-            std::path::Path::new(&out),
-            artifact.to_json().as_bytes(),
-            journal.fsync,
-        ) {
-            eprintln!("phase1: cannot write {out}: {e}");
-            return ExitCode::FAILURE;
+        let fp = phase1_fingerprint(agent, test, &cfg);
+        let (wal, recovery) =
+            SessionJournal::open(&path, journal.resume, journal.fsync, &fp, 1, 0)?;
+        let run = run_unit_durable(agent, test, &cfg, &recovery.units[0], &wal.unit_sink(0))?;
+        match wal.take_error() {
+            Some(e) => Err(JournalError::Io(e)),
+            None => Ok(run),
         }
-        println!("{out}");
-        if artifact.truncated {
-            eprintln!("phase1: exploration truncated — artifact covers part of the input space");
-            return ExitCode::from(EXIT_TRUNCATED);
-        }
-        return ExitCode::SUCCESS;
-    }
-    // Matrix mode (`--agent all` and/or `--test all`): `--jobs` fans out
-    // across the agent x test combinations and `--out` is a file prefix;
-    // one artifact `<out><agent>_<test>.json` is written per combination,
-    // with its journal at `<out><agent>_<test>.json.wal`.
+    };
     eprintln!(
         "symbolically executing {} agent(s) x {} test(s) with {jobs} job(s) ...",
         agents.len(),
         tests.len()
     );
-    let cfg = soft::sym::ExplorerConfig {
-        solver_budget: budget,
-        seed,
-        ..Default::default()
-    };
-    let runs = if journal.enabled {
-        let journal_for =
-            |agent: &str, test: &str| PathBuf::from(format!("{out}{agent}_{test}.json.wal"));
-        run_matrix_durable(
-            &agents,
-            &tests,
-            &cfg,
-            jobs,
-            &journal_for,
-            journal.resume,
-            journal.fsync,
-        )
-    } else {
-        run_matrix(&agents, &tests, &cfg, jobs)
-            .into_iter()
-            .map(Ok)
-            .collect()
-    };
+    let runs = run_matrix(&agents, &tests, if single { 1 } else { jobs }, explore);
     let mut truncated: Vec<String> = Vec::new();
     let mut failed = 0usize;
     for run in &runs {
@@ -410,9 +349,17 @@ fn cmd_phase1(args: &[String]) -> ExitCode {
             }
         };
         let artifact = TestRunFile::from_run(run);
-        let path = format!("{out}{}_{}.json", run.agent, run.test);
+        eprintln!(
+            "  {}/{}: {} paths, instruction coverage {:.1}%, wall {} ms",
+            run.agent,
+            run.test,
+            artifact.paths.len(),
+            artifact.instruction_pct,
+            artifact.wall_ms
+        );
+        let path = artifact_path(&run.agent, &run.test);
         if let Err(e) = atomic_write(
-            std::path::Path::new(&path),
+            Path::new(&path),
             artifact.to_json().as_bytes(),
             journal.fsync,
         ) {
@@ -570,15 +517,6 @@ struct CheckOpts {
     fsync: bool,
 }
 
-/// Adapter: the core's verdict hook writing into the harness journal.
-struct JournalVerdictSink<'a>(&'a CheckJournal);
-
-impl VerdictSink for JournalVerdictSink<'_> {
-    fn on_verdict(&self, i: usize, j: usize, verdict: &SatResult, budget: &SolverBudget) {
-        self.0.record(i, j, verdict, budget);
-    }
-}
-
 /// Everything a crosscheck produces, kept together so downstream
 /// commands (report, distill) can reuse the grouped conditions.
 struct CheckedPair {
@@ -620,18 +558,17 @@ fn crosscheck_artifacts(
         Some(jpath) => {
             // The journal is keyed to the exact artifact bytes and solver
             // settings: any change invalidates the recorded verdicts.
-            let settings = format!(
-                "budget={:?};rungs={};factor={};cap={:?}",
-                opts.budget, cfg.retry_rungs, cfg.retry_factor, cfg.retry_cap
-            );
-            let fp = check_fingerprint(&a_text, &b_text, &settings);
-            let (journal, recovered) = CheckJournal::open(jpath, opts.resume, opts.fsync, &fp)
-                .map_err(|e| e.to_string())?;
+            let fp = check_fingerprint(&a_text, &b_text, &check_settings(&cfg));
+            let (journal, recovery) =
+                SessionJournal::open(jpath, opts.resume, opts.fsync, &fp, 0, 1)
+                    .map_err(|e| e.to_string())?;
             let mut seeds = CheckSeeds::new();
-            for r in recovered {
-                seeds.insert(r.i, r.j, r.verdict, r.budget);
+            for r in &recovery.verdicts[0] {
+                seeds.insert(r.i, r.j, r.verdict.clone(), r.budget);
             }
-            let sink = JournalVerdictSink(&journal);
+            let sink = |i: usize, j: usize, verdict: &SatResult, budget: &SolverBudget| {
+                journal.record_verdict(0, i, j, verdict, budget)
+            };
             let result = crosscheck_durable(&ga, &gb, &cfg, Some(&seeds), Some(&sink));
             if let Some(e) = journal.take_error() {
                 return Err(format!("cannot append to {}: {e}", jpath.display()));
@@ -868,8 +805,11 @@ fn cmd_report(args: &[String]) -> ExitCode {
         }
     };
     let (result, fa, fb) = (&checked.result, &checked.file_a, &checked.file_b);
-    let test = find_test(&fa.test);
-    let agents = (parse_agent(&fa.agent), parse_agent(&fb.agent));
+    let test = OF10.find_test(&fa.test);
+    let agents = (
+        agent_by_name(&OF10, &fa.agent),
+        agent_by_name(&OF10, &fb.agent),
+    );
     // Distill the witnesses up front (no fuzzing): the report shows the
     // minimized, replay-confirmed reproduction instead of the raw solver
     // model bytes.
@@ -1085,11 +1025,14 @@ fn cmd_distill(args: &[String]) -> ExitCode {
         }
     };
     let (result, fa, fb) = (&checked.result, &checked.file_a, &checked.file_b);
-    let Some(test) = find_test(&fa.test) else {
+    let Some(test) = OF10.find_test(&fa.test) else {
         eprintln!("distill: unknown test '{}' (see `soft tests`)", fa.test);
         return ExitCode::FAILURE;
     };
-    let (Some(a), Some(b)) = (parse_agent(&fa.agent), parse_agent(&fb.agent)) else {
+    let (Some(a), Some(b)) = (
+        agent_by_name(&OF10, &fa.agent),
+        agent_by_name(&OF10, &fb.agent),
+    ) else {
         eprintln!(
             "distill: unknown agent ids '{}'/'{}' — cannot replay",
             fa.agent, fb.agent
@@ -1842,7 +1785,14 @@ fn cmd_fleet(args: &[String]) -> ExitCode {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
+    let cmd = args.first().map(String::as_str);
+    // One-shot commands end quietly when their stdout reader goes away
+    // (`soft tests | head`); servers keep SIGPIPE ignored so a peer that
+    // hangs up cannot kill them.
+    if !matches!(cmd, Some("serve" | "route" | "conform-dut")) {
+        soft::default_sigpipe();
+    }
+    match cmd {
         Some("tests") => cmd_tests(&args[1..]),
         Some("run") => cmd_run(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),

@@ -12,8 +12,11 @@ pub mod serve;
 pub mod session;
 
 pub use serve::{agent_fingerprint, serve, ServeConfig};
-pub use session::{run_session, BaselineSeed, SessionConfig, SessionReport, TestOutcome};
+pub use session::{
+    check_settings, run_session, BaselineSeed, SessionConfig, SessionReport, TestOutcome,
+};
 pub use soft_fleet::{run_router, Ring, RouterConfig};
+pub use soft_serve::default_sigpipe;
 
 pub use soft_agents as agents;
 pub use soft_conform as conform;

@@ -185,13 +185,14 @@ impl SessionReport {
     }
 }
 
-/// Crosscheck settings string hashed into the session fingerprint; must
-/// stay in sync with the phased `check` command's settings string so a
-/// given configuration identifies the same work in both flows.
-fn check_settings(cfg: &SessionConfig, check: &CrosscheckConfig) -> String {
+/// The crosscheck settings string journal fingerprints hash: `soft run`
+/// folds it into the session fingerprint, `check` and `distill` into the
+/// check fingerprint. One definition, so a given configuration
+/// identifies the same work in both flows.
+pub fn check_settings(check: &CrosscheckConfig) -> String {
     format!(
         "budget={:?};rungs={};factor={};cap={:?}",
-        cfg.solver_budget, check.retry_rungs, check.retry_factor, check.retry_cap
+        check.solver_budget, check.retry_rungs, check.retry_factor, check.retry_cap
     )
 }
 
@@ -220,7 +221,7 @@ pub fn run_session(cfg: &SessionConfig) -> Result<SessionReport, String> {
                 cfg.agent_b,
                 &cfg.tests,
                 &base_explorer,
-                &check_settings(cfg, &check_cfg),
+                &check_settings(&check_cfg),
                 &format!("seed={};fuzz={}", cfg.seed, cfg.fuzz_tries),
             );
             let (journal, recovery) = SessionJournal::open(

@@ -246,3 +246,85 @@ fn check_rejects_corrupt_artifacts() {
     assert_eq!(code, Some(1));
     assert!(stderr.contains("cannot parse"));
 }
+
+#[test]
+fn distill_resume_reuses_check_verdicts() {
+    let dir = std::env::temp_dir().join(format!("soft_cli_distill_resume_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let (a, b) = (dir.join("ref.json"), dir.join("ovs.json"));
+    for (agent, path) in [("reference", &a), ("ovs", &b)] {
+        let (_, stderr, code) = run(&[
+            "phase1",
+            "--agent",
+            agent,
+            "--test",
+            "queue_config",
+            "--out",
+            path.to_str().unwrap(),
+            "--no-journal",
+        ]);
+        assert_eq!(code, Some(0), "stderr: {stderr}");
+    }
+    let (a, b) = (a.to_str().unwrap(), b.to_str().unwrap());
+    let wal = dir.join("check.wal");
+    let wal_arg = wal.to_str().unwrap();
+    let (stdout, stderr, code) = run(&["check", a, b, "--journal", wal_arg, "--no-fsync"]);
+    assert_eq!(code, Some(2), "{stdout}{stderr}");
+    let wal_len = std::fs::metadata(&wal).unwrap().len();
+
+    // `distill` runs the same crosscheck under the same fingerprint, so
+    // resuming `check`'s journal finds every verdict decided: it appends
+    // nothing and publishes the corpus a fresh distill would.
+    let resumed = dir.join("resumed.json");
+    let (stdout, stderr, code) = run(&[
+        "distill",
+        a,
+        b,
+        "--out",
+        resumed.to_str().unwrap(),
+        "--journal",
+        wal_arg,
+        "--resume",
+        "--no-fsync",
+    ]);
+    assert_eq!(code, Some(2), "{stdout}{stderr}");
+    assert_eq!(
+        std::fs::metadata(&wal).unwrap().len(),
+        wal_len,
+        "distill --resume journaled verdicts check had already decided"
+    );
+    let fresh = dir.join("fresh.json");
+    let (stdout, stderr, code) = run(&[
+        "distill",
+        a,
+        b,
+        "--out",
+        fresh.to_str().unwrap(),
+        "--no-journal",
+    ]);
+    assert_eq!(code, Some(2), "{stdout}{stderr}");
+    assert_eq!(
+        std::fs::read(&resumed).unwrap(),
+        std::fs::read(&fresh).unwrap()
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+#[cfg(unix)]
+fn closed_stdout_ends_quietly() {
+    // The reader of stdout is gone before the first write. The CLI must
+    // end without a panic, not die with "failed printing to stdout:
+    // Broken pipe" and exit code 101.
+    let (reader, writer) = std::io::pipe().unwrap();
+    drop(reader);
+    let out = Command::new(soft_bin())
+        .arg("tests")
+        .stdout(writer)
+        .output()
+        .expect("spawn soft binary");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
+}
