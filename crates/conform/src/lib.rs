@@ -51,4 +51,5 @@ pub use handshake::{handshake, HandshakeInfo};
 pub use loopback::LoopbackDut;
 pub use replayer::{replay_witness, Observation, ReplayConfig, WireOutcome};
 pub use selftest::{loopback_self_test, loopback_self_test_with, SelfTestReport};
+pub use transport::{AcceptWaker, Acceptor};
 pub use transport::{Channel, Connector, FaultyConnector, RecvEvent, TcpConnector, Wire};

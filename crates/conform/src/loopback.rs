@@ -20,22 +20,20 @@
 //!   (correctly) classify the observation as transport damage instead of
 //!   the crash it is.
 
-use crate::transport::POLL;
+use crate::transport::{is_poll_timeout, AcceptWaker, Acceptor, POLL};
 use soft_core::run_concrete_raw;
 use soft_harness::Input;
 use soft_protocol::{AgentRef, FrameBuffer};
 use soft_sym::SymBuf;
 use std::io::{Read, Write};
-use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::net::{Shutdown, TcpStream};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// An agent listening on a loopback TCP port until dropped.
 pub struct LoopbackDut {
     addr: String,
-    stop: Arc<AtomicBool>,
+    waker: AcceptWaker,
     accept_thread: Option<JoinHandle<()>>,
 }
 
@@ -48,34 +46,21 @@ impl LoopbackDut {
     /// As [`spawn`](Self::spawn), on a caller-chosen port (0 = ephemeral).
     pub fn spawn_on(kind: impl Into<AgentRef>, port: u16) -> std::io::Result<LoopbackDut> {
         let kind = kind.into();
-        let listener = TcpListener::bind(("127.0.0.1", port))?;
-        let addr = listener.local_addr()?.to_string();
-        listener.set_nonblocking(true)?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
+        let acceptor = Acceptor::bind(port)?;
+        let addr = acceptor.local_addr().to_string();
+        let waker = acceptor.waker();
+        let stop = acceptor.waker();
         let accept_thread = std::thread::spawn(move || {
-            let mut conns: Vec<JoinHandle<()>> = Vec::new();
-            while !stop2.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let stop3 = Arc::clone(&stop2);
-                        conns.push(std::thread::spawn(move || {
-                            serve_conn(kind, stream, &stop3);
-                        }));
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(_) => break,
-                }
-            }
+            let conns = acceptor
+                .run(move |stream| serve_conn(kind, stream, &stop))
+                .unwrap_or_default();
             for c in conns {
                 let _ = c.join();
             }
         });
         Ok(LoopbackDut {
             addr,
-            stop,
+            waker,
             accept_thread: Some(accept_thread),
         })
     }
@@ -88,7 +73,7 @@ impl LoopbackDut {
 
 impl Drop for LoopbackDut {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.waker.wake();
         if let Some(h) = self.accept_thread.take() {
             let _ = h.join();
         }
@@ -96,7 +81,7 @@ impl Drop for LoopbackDut {
 }
 
 /// Serve one control-channel connection with a fresh instance of `kind`.
-fn serve_conn(kind: AgentRef, mut stream: TcpStream, stop: &AtomicBool) {
+fn serve_conn(kind: AgentRef, mut stream: TcpStream, stop: &AcceptWaker) {
     let dialect = kind.protocol.dialect();
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(POLL));
@@ -111,20 +96,13 @@ fn serve_conn(kind: AgentRef, mut stream: TcpStream, stop: &AtomicBool) {
     let mut dec = FrameBuffer::new();
     let mut buf = [0u8; 4096];
     loop {
-        if stop.load(Ordering::Relaxed) {
+        if stop.is_stopped() {
             return;
         }
         let n = match stream.read(&mut buf) {
             Ok(0) => return,
             Ok(n) => n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                continue
-            }
+            Err(e) if is_poll_timeout(&e) => continue,
             Err(_) => return,
         };
         dec.push(&buf[..n]);
@@ -175,11 +153,7 @@ fn crash_close(stream: &TcpStream) {
         match reader.read(&mut sink) {
             Ok(0) => return,
             Ok(_) => {}
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) => {}
+            Err(e) if is_poll_timeout(&e) => {}
             Err(_) => return,
         }
     }

@@ -24,7 +24,10 @@ use soft_protocol::{FrameBuffer, FrameEvent, FrameIo, WireDialect};
 use soft_witness::SplitMix64;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
-use std::net::{TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Socket poll granularity: reads block at most this long so deadlines
@@ -49,7 +52,7 @@ pub trait Connector: Send {
     fn describe(&self) -> String;
 }
 
-fn is_poll_timeout(e: &io::Error) -> bool {
+pub(crate) fn is_poll_timeout(e: &io::Error) -> bool {
     matches!(
         e.kind(),
         io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
@@ -108,6 +111,82 @@ impl Wire for TcpWire {
 
     fn recv(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         self.stream.read(buf)
+    }
+}
+
+/// The workspace's one accept loop (loopback DUT, `soft serve`, `soft
+/// route`): `accept` blocks, so a new connection waits on no poll. A
+/// stop is a flag plus one self-connect that returns the blocked
+/// `accept`; that wake connection is dropped, never handed to a handler.
+pub struct Acceptor {
+    listener: TcpListener,
+    waker: AcceptWaker,
+}
+
+/// Stops an [`Acceptor`]. Its flag also tells idle handlers to hang up.
+#[derive(Clone)]
+pub struct AcceptWaker {
+    addr: SocketAddr,
+    stop: Arc<AtomicBool>,
+}
+
+impl AcceptWaker {
+    /// Set the stop flag and wake the blocked `accept` (idempotent).
+    pub fn wake(&self) {
+        if !self.stop.swap(true, Ordering::SeqCst) {
+            let _ = TcpStream::connect(self.addr); // refused if the acceptor is gone
+        }
+    }
+
+    /// Whether [`wake`](Self::wake) has been called.
+    pub fn is_stopped(&self) -> bool {
+        self.stop.load(Ordering::SeqCst)
+    }
+}
+
+impl Acceptor {
+    /// Bind `127.0.0.1:port` (0 = ephemeral).
+    pub fn bind(port: u16) -> io::Result<Acceptor> {
+        let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, port))?;
+        let (addr, stop) = (listener.local_addr()?, Arc::default());
+        Ok(Acceptor {
+            listener,
+            waker: AcceptWaker { addr, stop },
+        })
+    }
+
+    /// The bound address.
+    pub fn local_addr(&self) -> SocketAddr {
+        self.waker.addr
+    }
+
+    /// A handle that stops [`run`](Self::run).
+    pub fn waker(&self) -> AcceptWaker {
+        self.waker.clone()
+    }
+
+    /// Accept until woken, running `handle` on a thread per connection.
+    /// Finished threads are reaped as connections arrive; those still
+    /// running at the stop are returned, the listener already closed.
+    pub fn run<F>(self, handle: F) -> io::Result<Vec<JoinHandle<()>>>
+    where
+        F: Fn(TcpStream) + Send + Sync + 'static,
+    {
+        let handle = Arc::new(handle);
+        let mut conns: Vec<JoinHandle<()>> = Vec::new();
+        loop {
+            let stream = match self.listener.accept() {
+                Ok((stream, _)) => stream,
+                Err(e) if e.kind() == io::ErrorKind::ConnectionAborted => continue,
+                Err(e) => return Err(e),
+            };
+            if self.waker.is_stopped() {
+                return Ok(conns);
+            }
+            conns.retain(|h| !h.is_finished());
+            let handle = Arc::clone(&handle);
+            conns.push(std::thread::spawn(move || handle(stream)));
+        }
     }
 }
 
@@ -505,6 +584,49 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn acceptor_reaps_finished_handlers_and_never_dispatches_the_wake() {
+        use std::sync::atomic::AtomicUsize;
+        let acceptor = Acceptor::bind(0).unwrap();
+        let addr = acceptor.local_addr();
+        let waker = acceptor.waker();
+        let served = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&served);
+        let accept = std::thread::spawn(move || {
+            acceptor.run(move |_stream| {
+                counter.fetch_add(1, Ordering::SeqCst);
+            })
+        });
+        for _ in 0..50 {
+            // The handler drops its stream on return: EOF here means the
+            // connection has closed on both sides.
+            let mut client = TcpStream::connect(addr).unwrap();
+            let mut rest = Vec::new();
+            client.read_to_end(&mut rest).unwrap();
+        }
+        waker.wake();
+        let held = accept.join().unwrap().unwrap();
+        assert!(
+            held.len() <= 2,
+            "{} handler threads held after 50 closed connections",
+            held.len()
+        );
+        assert_eq!(served.load(Ordering::SeqCst), 50, "the wake was dispatched");
+    }
+
+    #[test]
+    fn idle_acceptor_stops_on_wake() {
+        let acceptor = Acceptor::bind(0).unwrap();
+        let waker = acceptor.waker();
+        let accept = std::thread::spawn(move || acceptor.run(|_stream| {}));
+        let t0 = Instant::now();
+        waker.wake();
+        waker.wake(); // idempotent
+        assert!(accept.join().unwrap().unwrap().is_empty());
+        assert!(waker.is_stopped());
+        assert!(t0.elapsed() < Duration::from_secs(1));
     }
 
     #[test]

@@ -8,13 +8,16 @@
 //!   replica successors.
 //! - [`job`] — job identity shared with the serve daemon, so the router
 //!   computes byte-identical content keys.
+//! - [`conn`] — the client-connection loop the router and the serve
+//!   daemon share.
 //! - [`router`] — the front-end itself: placement, gossip-driven
 //!   work-stealing, failover, and fleet-wide duplicate coalescing.
 //!
 //! The back-end half of the protocol (steal registry, replica ingest,
-//! membership frames) lives in `soft serve` and `soft-harness`; this
-//! crate holds everything that runs *outside* the solving daemons.
+//! membership frames) lives in `soft serve` and `soft-harness`; apart
+//! from [`conn`], this crate holds what runs *outside* the daemons.
 
+pub mod conn;
 pub mod job;
 pub mod ring;
 pub mod router;

@@ -26,24 +26,21 @@
 //! The router holds no store and no solver: killing it loses nothing
 //! but open connections.
 
+use crate::conn::{serve_clients, CONN_READ_TIMEOUT};
 use crate::job::resolve;
 use crate::ring::Ring;
-use soft_conform::BackoffPolicy;
+use soft_conform::{Acceptor, BackoffPolicy};
 use soft_harness::journal::atomic_write;
 use soft_harness::json::Json;
 use soft_harness::proto::{self, FleetView, FrameEvent, JobSpec};
 use soft_harness::store::job_key;
 use std::collections::HashMap;
 use std::io::{BufReader, BufWriter, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
-
-/// Read timeout on router sockets: the poll granularity for drain
-/// checks (client side) and liveness waits (back-end side).
-const CONN_READ_TIMEOUT: Duration = Duration::from_millis(200);
 
 /// Consecutive idle windows tolerated on a *control* exchange (status
 /// probe, registration, steal, drain) before the back-end counts as
@@ -162,7 +159,6 @@ struct RouterState {
     backends: Vec<Backend>,
     claims: Mutex<HashMap<String, Arc<Ticket>>>,
     counters: RouterCounters,
-    draining: AtomicBool,
 }
 
 /// Removes the claim on drop and, if the dispatcher never produced a
@@ -530,51 +526,13 @@ fn mark_routed(frame: &Json, stealable: bool) -> Json {
     Json::Object(fields)
 }
 
-/// One client connection at the router: frames in, frames out.
-fn handle_conn(stream: TcpStream, state: &RouterState) {
-    let _ = stream.set_read_timeout(Some(CONN_READ_TIMEOUT));
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = BufWriter::new(stream);
-    loop {
-        let msg = match proto::read_frame_idle(&mut reader) {
-            Ok(FrameEvent::Frame(m)) => m,
-            Ok(FrameEvent::Eof) => return,
-            Ok(FrameEvent::Idle) => {
-                if state.draining.load(Ordering::Relaxed) || soft_serve::sigterm_count() >= 1 {
-                    return;
-                }
-                continue;
-            }
-            Err(e) => {
-                let _ = proto::write_frame(&mut writer, &proto::error_response(&e));
-                let _ = writer.flush();
-                return;
-            }
-        };
-        let kind = msg
-            .field("type")
-            .and_then(Json::as_str)
-            .unwrap_or("")
-            .to_string();
-        let reply = match kind.as_str() {
-            "job" => state.serve_job(&msg),
-            "status" => state.aggregate_status(),
-            "fleet" => state.fleet_report(),
-            "drain" => {
-                state.draining.store(true, Ordering::Relaxed);
-                Json::Object(vec![(
-                    "type".to_string(),
-                    Json::Str("draining".to_string()),
-                )])
-            }
-            other => proto::error_response(&format!("router does not accept '{other}'")),
-        };
-        if proto::write_frame(&mut writer, &reply).is_err() || writer.flush().is_err() {
-            return;
-        }
+/// One request on a router client connection.
+fn handle_request(state: &RouterState, kind: &str, msg: &Json) -> Json {
+    match kind {
+        "job" => state.serve_job(msg),
+        "status" => state.aggregate_status(),
+        "fleet" => state.fleet_report(),
+        other => proto::error_response(&format!("router does not accept '{other}'")),
     }
 }
 
@@ -605,7 +563,6 @@ pub fn run_router(cfg: &RouterConfig) -> Result<(), String> {
             .collect(),
         claims: Mutex::new(HashMap::new()),
         counters: RouterCounters::default(),
-        draining: AtomicBool::new(false),
         cfg: cfg.clone(),
     });
     soft_serve::install_sigterm_latch();
@@ -621,46 +578,23 @@ pub fn run_router(cfg: &RouterConfig) -> Result<(), String> {
         "soft route: {registered}/{} back-end(s) registered",
         state.backends.len()
     );
-    let listener =
-        TcpListener::bind(("127.0.0.1", cfg.port)).map_err(|e| format!("bind 127.0.0.1: {e}"))?;
-    let addr = listener
-        .local_addr()
-        .map_err(|e| format!("local_addr: {e}"))?;
+    let acceptor = Acceptor::bind(cfg.port).map_err(|e| format!("bind 127.0.0.1: {e}"))?;
+    let addr = acceptor.local_addr();
     if let Some(path) = &cfg.addr_file {
         atomic_write(path, addr.to_string().as_bytes(), false)
             .map_err(|e| format!("publish addr {}: {e}", path.display()))?;
     }
     println!("soft route: listening on {addr}");
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| format!("set_nonblocking: {e}"))?;
     let gossip_state = Arc::clone(&state);
+    let gossip_drain = acceptor.waker();
     let gossip = std::thread::spawn(move || {
-        while !gossip_state.draining.load(Ordering::Relaxed) && soft_serve::sigterm_count() == 0 {
+        while !gossip_drain.is_stopped() {
             gossip_state.gossip_round();
             std::thread::sleep(GOSSIP_INTERVAL);
         }
     });
-    let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    loop {
-        if soft_serve::sigterm_count() >= 1 || state.draining.load(Ordering::Relaxed) {
-            state.draining.store(true, Ordering::Relaxed);
-            break;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nonblocking(false);
-                let st = Arc::clone(&state);
-                conns.push(std::thread::spawn(move || handle_conn(stream, &st)));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(e) => return Err(format!("accept: {e}")),
-        }
-        conns.retain(|h| !h.is_finished());
-    }
-    drop(listener);
+    let st = Arc::clone(&state);
+    let conns = serve_clients(acceptor, move |kind, msg| handle_request(&st, kind, msg))?;
     eprintln!(
         "soft route: draining ({} connection(s) open) ...",
         conns.len()
@@ -696,7 +630,6 @@ mod tests {
                 .collect(),
             claims: Mutex::new(HashMap::new()),
             counters: RouterCounters::default(),
-            draining: AtomicBool::new(false),
             cfg: RouterConfig {
                 port: 0,
                 backends,

@@ -6,8 +6,8 @@
 //! the workspace forbids `unsafe`; this crate exists to confine the
 //! `signal(2)` calls (std already links libc) to an auditable corner.
 //! The SIGTERM handler does the only thing that is async-signal-safe —
-//! it stores into a static atomic — and the daemon's accept loop polls
-//! the latch to begin a graceful drain.
+//! it stores into a static atomic — and a watcher thread polls the
+//! latch, then wakes the daemon's blocked accept to begin a drain.
 //!
 //! A second SIGTERM while draining escalates to immediate exit, so an
 //! operator is never more than two signals away from a stopped daemon

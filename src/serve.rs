@@ -27,27 +27,22 @@
 //! the WAL makes that safe.
 
 use crate::{run_session, BaselineSeed, SessionConfig, TestOutcome};
+use soft_conform::Acceptor;
+use soft_fleet::conn::serve_clients;
 pub use soft_fleet::job::agent_fingerprint;
 use soft_fleet::job::{resolve, ResolvedJob};
 use soft_fleet::Ring;
 use soft_harness::json::Json;
-use soft_harness::proto::{self, FleetView, FrameEvent, JobSpec};
+use soft_harness::proto::{self, FleetView, JobSpec};
 use soft_harness::store::{job_key, logical_key, ResultStore, StoreEntry};
 use soft_smt::SolverBudget;
 use std::collections::HashSet;
 use std::io::{BufReader, BufWriter, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
-
-/// Read timeout on accepted connections: the granularity at which an
-/// idle connection's handler re-checks the drain flag. Without it a
-/// connected-but-silent client would pin `handle_conn` in a blocking
-/// read forever, and one such client would make a drain hang until a
-/// second SIGTERM aborts it.
-const CONN_READ_TIMEOUT: Duration = Duration::from_millis(200);
 
 /// See `session::recover`: locks guard slot-wise state, so a sibling
 /// panic leaves usable data behind a poisoned mutex.
@@ -300,7 +295,6 @@ struct ServeState {
     /// `None` outside fleet mode (replication then never triggers).
     fleet: Mutex<Option<FleetView>>,
     stealable: StealRegistry,
-    draining: AtomicBool,
 }
 
 fn outcome_summary(o: &TestOutcome) -> Json {
@@ -581,68 +575,28 @@ fn serve_job_frame(state: &ServeState, msg: &Json, fsync: bool) -> Json {
     })
 }
 
-/// One client connection: frames in, frames out, until clean EOF — or
-/// until a drain begins and the client is idle at a frame boundary, in
-/// which case the connection is hung up so the drain can complete.
-fn handle_conn(stream: TcpStream, state: &ServeState, fsync: bool) {
-    let _ = stream.set_read_timeout(Some(CONN_READ_TIMEOUT));
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = BufWriter::new(stream);
-    loop {
-        let msg = match proto::read_frame_idle(&mut reader) {
-            Ok(FrameEvent::Frame(m)) => m,
-            Ok(FrameEvent::Eof) => return,
-            Ok(FrameEvent::Idle) => {
-                if state.draining.load(Ordering::Relaxed) || soft_serve::sigterm_count() >= 1 {
-                    return;
-                }
-                continue;
+/// One request on a client connection.
+fn handle_request(state: &ServeState, fsync: bool, kind: &str, msg: &Json) -> Json {
+    match kind {
+        "job" => serve_job_frame(state, msg, fsync),
+        "status" => state.counters.to_json(),
+        "route" => match FleetView::from_json(msg) {
+            Ok(view) => {
+                let workers = state.counters.workers.load(Ordering::Relaxed);
+                let depth = state.counters.queue_depth.load(Ordering::Relaxed);
+                *recover(&state.fleet) = Some(view);
+                proto::registered_response(workers, depth)
             }
-            Err(e) => {
-                let _ = proto::write_frame(&mut writer, &proto::error_response(&e));
-                let _ = writer.flush();
-                return;
-            }
-        };
-        let kind = msg
-            .field("type")
-            .and_then(Json::as_str)
-            .unwrap_or("")
-            .to_string();
-        let reply = match kind.as_str() {
-            "job" => serve_job_frame(state, &msg, fsync),
-            "status" => state.counters.to_json(),
-            "route" => match FleetView::from_json(&msg) {
-                Ok(view) => {
-                    let workers = state.counters.workers.load(Ordering::Relaxed);
-                    let depth = state.counters.queue_depth.load(Ordering::Relaxed);
-                    *recover(&state.fleet) = Some(view);
-                    proto::registered_response(workers, depth)
-                }
-                Err(e) => proto::error_response(&e),
-            },
-            "steal" => {
-                let max = msg.get("max").and_then(|v| v.as_u64().ok()).unwrap_or(0);
-                let n = state.stealable.steal(max);
-                state.counters.jobs_stolen.fetch_add(n, Ordering::Relaxed);
-                proto::steal_ack(n)
-            }
-            "replicate" => handle_replicate(state, &msg),
-            "drain" => {
-                state.draining.store(true, Ordering::Relaxed);
-                Json::Object(vec![(
-                    "type".to_string(),
-                    Json::Str("draining".to_string()),
-                )])
-            }
-            other => proto::error_response(&format!("unknown request type '{other}'")),
-        };
-        if proto::write_frame(&mut writer, &reply).is_err() || writer.flush().is_err() {
-            return;
+            Err(e) => proto::error_response(&e),
+        },
+        "steal" => {
+            let max = msg.get("max").and_then(|v| v.as_u64().ok()).unwrap_or(0);
+            let n = state.stealable.steal(max);
+            state.counters.jobs_stolen.fetch_add(n, Ordering::Relaxed);
+            proto::steal_ack(n)
         }
+        "replicate" => handle_replicate(state, msg),
+        other => proto::error_response(&format!("unknown request type '{other}'")),
     }
 }
 
@@ -662,7 +616,6 @@ pub fn serve(cfg: &ServeConfig) -> Result<(), String> {
         running: RunningJobs::new(),
         fleet: Mutex::new(None),
         stealable: StealRegistry::default(),
-        draining: AtomicBool::new(false),
     });
     state
         .counters
@@ -694,60 +647,34 @@ pub fn serve(cfg: &ServeConfig) -> Result<(), String> {
             }
         }
     }
-    let listener =
-        TcpListener::bind(("127.0.0.1", cfg.port)).map_err(|e| format!("bind 127.0.0.1: {e}"))?;
-    let addr = listener
-        .local_addr()
-        .map_err(|e| format!("local_addr: {e}"))?;
+    let acceptor = Acceptor::bind(cfg.port).map_err(|e| format!("bind 127.0.0.1: {e}"))?;
+    let addr = acceptor.local_addr();
     state
         .store
         .write_addr(&addr.to_string())
         .map_err(|e| format!("publish addr: {e}"))?;
     println!("soft serve: listening on {addr}");
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| format!("set_nonblocking: {e}"))?;
-    let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    loop {
-        if soft_serve::sigterm_count() >= 1 || state.draining.load(Ordering::Relaxed) {
-            // Make the drain visible to connection handlers: an idle
-            // client's next read timeout turns into a clean hangup.
-            state.draining.store(true, Ordering::Relaxed);
-            break;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nonblocking(false);
-                let st = Arc::clone(&state);
-                let fsync = cfg.fsync;
-                conns.push(std::thread::spawn(move || handle_conn(stream, &st, fsync)));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(e) => return Err(format!("accept: {e}")),
-        }
-        conns.retain(|h| !h.is_finished());
-    }
-    drop(listener);
+    let st = Arc::clone(&state);
+    let fsync = cfg.fsync;
+    let conns = serve_clients(acceptor, move |kind, msg| {
+        handle_request(&st, fsync, kind, msg)
+    })?;
     eprintln!(
         "soft serve: draining ({} connection(s) open) ...",
         conns.len()
     );
-    let mut aborted = false;
-    'drain: for h in conns {
-        while !h.is_finished() {
-            if soft_serve::sigterm_count() >= 2 {
-                // Second SIGTERM: exit now. In-flight jobs stay recorded
-                // and their WALs survive; the next daemon resumes them.
-                eprintln!("soft serve: second SIGTERM — exiting immediately");
-                aborted = true;
-                break 'drain;
-            }
-            std::thread::sleep(Duration::from_millis(20));
+    // A second SIGTERM exits now: in-flight jobs stay recorded and their
+    // WALs survive; the next daemon resumes them.
+    let aborted = loop {
+        if conns.iter().all(|h| h.is_finished()) {
+            break false;
         }
-        let _ = h.join();
-    }
+        if soft_serve::sigterm_count() >= 2 {
+            eprintln!("soft serve: second SIGTERM — exiting immediately");
+            break true;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
     state
         .store
         .write_stats(&state.counters.to_json())

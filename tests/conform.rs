@@ -1,13 +1,14 @@
 //! End-to-end tests of `soft conform`: the wire harness against loopback
 //! DUTs, with and without fault injection, plus the unreachable path.
 
-use soft::conform::handshake::frame;
+use soft::conform::handshake::{frame, handshake};
 use soft::conform::{
-    loopback_self_test, run_conform, ExitClass, LoopbackDut, ReplayConfig, TcpConnector, Verdict,
+    loopback_self_test, run_conform, Acceptor, Channel, Connector, ExitClass, LoopbackDut,
+    ReplayConfig, TcpConnector, Verdict,
 };
 use soft::openflow::consts::msg_type;
 use soft::witness::{ConcreteInput, Corpus, CorpusEntry, Origin, Status};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn entry(status: Status, inputs: Vec<ConcreteInput>) -> CorpusEntry {
     let msg_types = inputs
@@ -134,19 +135,15 @@ fn unreachable_dut_degrades_cleanly() {
 /// connection existed, traffic never completed), with the error chain.
 #[test]
 fn silent_dut_degrades_to_flaky() {
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap().to_string();
-    let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let stop2 = stop.clone();
+    let acceptor = Acceptor::bind(0).unwrap();
+    let addr = acceptor.local_addr().to_string();
+    let waker = acceptor.waker();
+    // Accept, say nothing, keep the connection open until the client
+    // gives up on it.
     let accept = std::thread::spawn(move || {
-        listener.set_nonblocking(true).unwrap();
-        let mut held = Vec::new();
-        while !stop2.load(std::sync::atomic::Ordering::Relaxed) {
-            match listener.accept() {
-                Ok((s, _)) => held.push(s), // accept, say nothing, keep open
-                Err(_) => std::thread::sleep(Duration::from_millis(5)),
-            }
-        }
+        acceptor.run(|mut s| {
+            let _ = std::io::copy(&mut s, &mut std::io::sink());
+        })
     });
 
     let corpus = test_corpus();
@@ -155,8 +152,8 @@ fn silent_dut_degrades_to_flaky() {
     cfg.op_timeout = Duration::from_millis(200);
     let mut conn = TcpConnector::new(&addr, Duration::from_millis(500));
     let report = run_conform(&corpus, &mut conn, &cfg).expect("run completes");
-    stop.store(true, std::sync::atomic::Ordering::Relaxed);
-    accept.join().unwrap();
+    waker.wake();
+    accept.join().unwrap().unwrap();
 
     assert_eq!(report.exit_class(), ExitClass::Flaky);
     for w in &report.witnesses {
@@ -187,4 +184,49 @@ fn crash_is_observed_as_clean_eof() {
     assert_eq!(w0.verdict, Verdict::MatchesA, "detail: {:?}", w0.detail);
     assert_eq!(w0.attempts, 1, "a crash observation needs no retry");
     assert_eq!(w0.observed.as_deref(), Some("crash:"));
+}
+
+/// The loopback DUT accepts the moment a client connects: a connect
+/// plus handshake takes well under a 5 ms accept-poll interval. Dropping
+/// the DUT returns promptly whether it never accepted anything or an
+/// idle client is still connected.
+#[test]
+fn loopback_accept_is_not_polled() {
+    let dut = LoopbackDut::spawn(soft::AgentKind::Reference).unwrap();
+    let mut conn = TcpConnector::new(dut.addr(), Duration::from_secs(2));
+    let mut times: Vec<Duration> = (0..50)
+        .map(|_| {
+            let t0 = Instant::now();
+            let wire = conn.connect().expect("connect");
+            handshake(&mut Channel::new(wire, Duration::from_secs(2))).expect("handshake");
+            t0.elapsed()
+        })
+        .collect();
+    times.sort();
+    let median = times[times.len() / 2];
+    assert!(
+        median < Duration::from_millis(2),
+        "connect + handshake median {median:?}: is the accept polled?"
+    );
+
+    let t0 = Instant::now();
+    drop(LoopbackDut::spawn(soft::AgentKind::Reference).unwrap());
+    assert!(
+        t0.elapsed() < Duration::from_secs(1),
+        "drop of an unused DUT"
+    );
+
+    let idle = LoopbackDut::spawn(soft::AgentKind::Reference).unwrap();
+    let wire = TcpConnector::new(idle.addr(), Duration::from_secs(2))
+        .connect()
+        .expect("connect");
+    let mut client = Channel::new(wire, Duration::from_secs(2));
+    handshake(&mut client).expect("handshake");
+    let t0 = Instant::now();
+    drop(idle);
+    assert!(
+        t0.elapsed() < Duration::from_secs(1),
+        "drop with an idle client connected"
+    );
+    drop(client);
 }

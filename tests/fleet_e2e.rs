@@ -383,3 +383,40 @@ fn fleet_survives_kills_with_identical_bytes_and_single_solves() {
         }
     }
 }
+
+/// A router no client ever connected to sits blocked in `accept`; one
+/// `soft submit --drain` must still stop it (exit 0 within 5 s). Its
+/// only back-end is down, so there is nothing to forward the drain to.
+#[test]
+fn idle_router_stops_on_drain() {
+    let dir = temp_dir("idle_router");
+    let dead_backend = {
+        let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        l.local_addr().unwrap().to_string()
+    };
+    let (mut router, addr) = spawn_router(&[dead_backend], &dir.join("router_addr"));
+    let drained = Command::new(env!("CARGO_BIN_EXE_soft"))
+        .args(["submit", "--addr", &addr, "--drain"])
+        .output()
+        .expect("run soft submit --drain");
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let status = loop {
+        match router.try_wait().expect("try_wait") {
+            Some(st) => break Some(st),
+            None if Instant::now() >= deadline => break None,
+            None => std::thread::sleep(Duration::from_millis(20)),
+        }
+    };
+    if status.is_none() {
+        let _ = router.kill();
+        let _ = router.wait();
+    }
+    assert!(
+        drained.status.success(),
+        "drain submit failed: {}",
+        String::from_utf8_lossy(&drained.stderr)
+    );
+    let status = status.expect("idle router did not stop within 5 s of the drain");
+    assert!(status.success(), "router exited with {status}");
+    let _ = fs::remove_dir_all(&dir);
+}

@@ -563,3 +563,50 @@ fn hostile_length_prefix_gets_a_framed_error_not_an_allocation() {
     assert!(status.expect("daemon failed to drain").success());
     let _ = fs::remove_dir_all(&store);
 }
+
+/// Wait up to `limit` for `child` to exit; kill it if it does not.
+fn exit_within(child: &mut Child, limit: Duration) -> Option<std::process::ExitStatus> {
+    let deadline = Instant::now() + limit;
+    loop {
+        match child.try_wait().expect("wait daemon") {
+            Some(st) => return Some(st),
+            None if Instant::now() >= deadline => {
+                let _ = child.kill();
+                let _ = child.wait();
+                return None;
+            }
+            None => std::thread::sleep(Duration::from_millis(20)),
+        }
+    }
+}
+
+/// A daemon that never saw a job connection sits blocked in `accept`;
+/// both stop sources must still wake it: SIGTERM (through the latch
+/// watcher) and a `drain` request (through the accept wake). Either way
+/// it exits 0 within 5 s and persists its counters.
+#[test]
+fn idle_daemon_stops_on_sigterm_and_on_drain() {
+    for how in ["sigterm", "drain"] {
+        let store = temp_dir(&format!("idle_{how}"));
+        let (mut child, addr) = spawn_daemon(&store);
+        if how == "sigterm" {
+            let killed = Command::new("kill")
+                .args(["-TERM", &child.id().to_string()])
+                .status()
+                .expect("run kill");
+            assert!(killed.success(), "kill -TERM failed");
+        } else {
+            let ack = soft::serve::request(&addr, &soft::harness::proto::drain_request())
+                .expect("drain request");
+            assert_eq!(ack.field("type").and_then(Json::as_str), Ok("draining"));
+        }
+        let status = exit_within(&mut child, Duration::from_secs(5))
+            .unwrap_or_else(|| panic!("idle daemon did not stop within 5 s of {how}"));
+        assert!(status.success(), "{how}: daemon exited with {status}");
+        assert!(
+            store.join("serve_stats.json").exists(),
+            "{how}: serve_stats.json not written"
+        );
+        let _ = fs::remove_dir_all(&store);
+    }
+}

@@ -273,15 +273,18 @@ echo "== conform: SIGKILL the DUT mid-replay, degrade to flaky/unreachable =="
 # A conformance DUT that dies under the harness must never crash or hang
 # the replayer: the run completes, the affected witnesses carry explicit
 # flaky (connected, never finished) or unreachable (never connected)
-# verdicts, and the exit code reports the degradation.
-"$SOFT" run --agents reference,ovs --test queue_config \
+# verdicts, and the exit code reports the degradation. The corpus must
+# take longer to replay than the kill takes to land: packet_out's ~95
+# witnesses replay in tens of milliseconds, where a one-witness corpus
+# finishes in under one and outruns every kill delay.
+"$SOFT" run --agents reference,ovs --test packet_out \
     --out "$WORK/conform_" --no-journal --no-fsync >/dev/null 2>&1
 run_rc=$?
 if [ "$run_rc" -ne 0 ] && [ "$run_rc" -ne 2 ]; then
     echo "crash_resume: corpus distillation for conform stage failed with $run_rc"
     exit 1
 fi
-CON_CORPUS="$WORK/conform_corpus_queue_config.json"
+CON_CORPUS="$WORK/conform_corpus_packet_out.json"
 conform_degraded=0
 round=0
 while [ "$round" -lt 40 ]; do
