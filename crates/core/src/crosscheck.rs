@@ -18,10 +18,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// Recover the guarded data even if a sibling worker panicked while
-/// holding the lock. The verdict vector is only written slot-wise, so a
-/// poisoned lock still guards usable state; unfinished slots degrade to
-/// [`SatResult::Unknown`] rather than aborting the run.
+/// Recover the guarded solver statistics even if a sibling worker
+/// panicked while holding the lock. The statistics are only merged
+/// commutatively, so a poisoned lock still guards usable state; the panic
+/// itself reaches the caller when the pass joins its workers.
 fn recover<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
     lock.lock().unwrap_or_else(|e| e.into_inner())
 }
@@ -36,7 +36,7 @@ fn recover<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
 /// a witness drawn from that sliver would be a false positive. The
 /// inconsistency query therefore conjoins this disequality constraint, so
 /// every witness provably makes the observable outputs differ.
-pub(crate) fn outputs_differ(a: &ObservedOutput, b: &ObservedOutput) -> Term {
+fn outputs_differ(a: &ObservedOutput, b: &ObservedOutput) -> Term {
     if a.crashed != b.crashed || a.events.len() != b.events.len() {
         return Term::bool_true();
     }
@@ -287,10 +287,11 @@ pub trait VerdictSink: Sync {
     /// Called once per *freshly solved* verdict the moment it is
     /// produced, from whichever worker thread solved it — delivery order
     /// is scheduling-dependent, unlike [`VerdictSink::on_verdict`]'s
-    /// canonical pair order. This is the streaming hook: eager witness
+    /// canonical pair order. This is the session's hook: eager witness
     /// distillation starts here instead of waiting for the pass barrier.
-    /// Seeded (journal-recovered) verdicts are not re-delivered, and a
-    /// worker lost mid-query degrades its slot to Unknown without a call.
+    /// Seeded (journal-recovered) verdicts are not re-delivered. A panic
+    /// inside the crosscheck (a solver bug) is not contained: it
+    /// propagates to the caller, and the pass delivers nothing further.
     /// Default: no-op.
     fn on_decided(&self, _i: usize, _j: usize, _verdict: &SatResult, _budget: &SolverBudget) {}
 }
@@ -396,51 +397,6 @@ pub fn crosscheck_durable(
     seeds: Option<&CheckSeeds>,
     sink: Option<&dyn VerdictSink>,
 ) -> CrosscheckResult {
-    crosscheck_hooked(
-        a,
-        b,
-        cfg,
-        CheckHooks {
-            seeds,
-            sink,
-            ..Default::default()
-        },
-    )
-}
-
-/// Streaming extensions layered on the canonical crosscheck pass
-/// structure. Everything here is a latency lever, not a semantics lever:
-/// the verdict slots are merged by pair index and published in pair
-/// order, so the result (and the journal bytes a sink writes) are
-/// identical with or without hooks.
-#[derive(Default)]
-pub struct CheckHooks<'a> {
-    /// Verdicts recovered from a crosscheck journal (as in
-    /// [`crosscheck_durable`]).
-    pub seeds: Option<&'a CheckSeeds>,
-    /// Per-pass canonical observer (the journal hook) plus the immediate
-    /// [`VerdictSink::on_decided`] streaming hook.
-    pub sink: Option<&'a dyn VerdictSink>,
-    /// Share a verdict cache with out-of-band solver work: the eager
-    /// scheduler's probes run against the same cache, so a probe that
-    /// already decided a final-refinement query makes the canonical pass
-    /// a cache hit.
-    pub cache: Option<Arc<VerdictCache>>,
-    /// Group-index pairs to solve *first* within the base pass — the
-    /// scheduler passes its known-satisfiable pairs so inconsistencies
-    /// (the pairs distillation will need) decide earliest.
-    pub solve_first: Vec<(usize, usize)>,
-}
-
-/// [`crosscheck_durable`] with streaming hooks — see [`CheckHooks`].
-pub fn crosscheck_hooked(
-    a: &GroupedResults,
-    b: &GroupedResults,
-    cfg: &CrosscheckConfig,
-    hooks: CheckHooks<'_>,
-) -> CrosscheckResult {
-    let seeds = hooks.seeds;
-    let sink = hooks.sink;
     assert_eq!(a.test, b.test, "crosschecking different tests");
     let start = Instant::now();
     // Build the pair list (and its `outputs_differ` terms) up front and
@@ -480,19 +436,11 @@ pub fn crosscheck_hooked(
     // All passes share one budget-aware verdict cache: verdicts decided in
     // the base pass shortcut identical queries on retry rungs, while
     // Unknowns recorded under a smaller budget never suppress a re-solve
-    // under a larger one. A caller-provided cache extends the sharing to
-    // the eager scheduler's out-of-band probes.
-    let cache = hooks.cache.unwrap_or_else(|| Arc::new(VerdictCache::new()));
+    // under a larger one.
+    let cache = Arc::new(VerdictCache::new());
 
-    // Base pass: everything the seeds did not settle. Hinted pairs go
-    // first (stable partition, so pair order survives within each class);
-    // the verdict slots make the solve order invisible in the output.
-    let mut todo: Vec<usize> = (0..pairs.len()).filter(|&k| slots[k].is_none()).collect();
-    if !hooks.solve_first.is_empty() {
-        let first: std::collections::HashSet<(usize, usize)> =
-            hooks.solve_first.iter().copied().collect();
-        todo.sort_by_key(|&k| !first.contains(&(pairs[k].0, pairs[k].1)));
-    }
+    // Base pass: everything the seeds did not settle.
+    let todo: Vec<usize> = (0..pairs.len()).filter(|&k| slots[k].is_none()).collect();
     let stats: Mutex<SolverStats> = Mutex::new(SolverStats::default());
     solve_pass(
         a,
@@ -616,16 +564,9 @@ fn notify_sink(
 /// lives for the whole pass, and with `incremental` it carries a
 /// persistent context so the pairs it claims share bit-blasting, learned
 /// clauses, and recorded UNSAT cores. Callers own the gating rule: pass
-/// `incremental` only when the *governing* budget is unlimited —
-/// solve passes gate on their pass budget, the streaming scheduler on
-/// the session budget (its probe budget is deliberately finite, which is
-/// sound because probes only ever publish Unsat; see
+/// `incremental` only when the pass budget is unlimited (see
 /// [`CrosscheckConfig::incremental`]).
-pub(crate) fn worker_solver(
-    cache: Arc<VerdictCache>,
-    budget: SolverBudget,
-    incremental: bool,
-) -> Solver {
+fn worker_solver(cache: Arc<VerdictCache>, budget: SolverBudget, incremental: bool) -> Solver {
     let mut solver = Solver::with_cache(cache); // lint-exempt: pass-lifetime worker
     solver.budget = budget;
     if incremental {
@@ -681,35 +622,38 @@ fn solve_pass(
         recover(stats).merge(&solver.stats);
         return;
     }
+    // Every claimed index is solved by exactly one worker, so the
+    // returned verdicts cover `todo` completely. A worker panic is not
+    // contained: joining re-raises it, aborting the pass.
     let next = AtomicUsize::new(0);
-    let verdicts: Mutex<Vec<Option<SatResult>>> = Mutex::new(vec![None; todo.len()]);
-    std::thread::scope(|scope| {
-        for _ in 0..jobs.min(todo.len()) {
-            let cache = Arc::clone(cache);
-            let next = &next;
-            let verdicts = &verdicts;
-            let query = &query;
-            scope.spawn(move || {
-                let mut solver =
-                    worker_solver(cache, budget, cfg.incremental && budget.is_unlimited());
-                loop {
-                    let t = next.fetch_add(1, Ordering::Relaxed);
-                    if t >= todo.len() {
-                        break;
+    let solved: Vec<(usize, SatResult)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..jobs.min(todo.len()))
+            .map(|_| {
+                let cache = Arc::clone(cache);
+                let (next, query) = (&next, &query);
+                scope.spawn(move || {
+                    let mut solver =
+                        worker_solver(cache, budget, cfg.incremental && budget.is_unlimited());
+                    let mut mine = Vec::new();
+                    loop {
+                        let t = next.fetch_add(1, Ordering::Relaxed);
+                        if t >= todo.len() {
+                            break;
+                        }
+                        mine.push((todo[t], query(&mut solver, todo[t])));
                     }
-                    let v = query(&mut solver, todo[t]);
-                    recover(verdicts)[t] = Some(v);
-                }
-                recover(stats).merge(&solver.stats);
-            });
-        }
+                    recover(stats).merge(&solver.stats);
+                    mine
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
     });
-    // A slot can only be `None` if its worker died mid-query; degrading it
-    // to Unknown turns the loss into an unverified pair instead of an
-    // abort or a fabricated verdict.
-    let solved = verdicts.into_inner().unwrap_or_else(|e| e.into_inner());
-    for (t, v) in solved.into_iter().enumerate() {
-        slots[todo[t]] = Some((v.unwrap_or(SatResult::Unknown), budget));
+    for (k, v) in solved {
+        slots[k] = Some((v, budget));
     }
 }
 
@@ -1142,20 +1086,10 @@ mod tests {
             ..Default::default()
         };
         let plain = crosscheck_durable(&a, &b, &cfg, None, None);
-        // Solve-first hints, a shared external cache, and the immediate
-        // on_decided hook — none of them may perturb the canonical result.
+        // The immediate on_decided hook may not perturb the canonical
+        // result.
         let sink = CountDecided::default();
-        let hooked = crosscheck_hooked(
-            &a,
-            &b,
-            &cfg,
-            CheckHooks {
-                sink: Some(&sink),
-                cache: Some(Arc::new(VerdictCache::new())),
-                solve_first: vec![(0, 0)],
-                ..Default::default()
-            },
-        );
+        let hooked = crosscheck_durable(&a, &b, &cfg, None, Some(&sink));
         assert_eq!(hooked.queries, plain.queries);
         assert_eq!(hooked.unknown, plain.unknown);
         assert_eq!(hooked.resolved_on_retry, plain.resolved_on_retry);
@@ -1168,49 +1102,27 @@ mod tests {
         assert!(sink.0.load(Ordering::Relaxed) >= 2);
     }
 
+    struct PanicOnDecided;
+
+    impl VerdictSink for PanicOnDecided {
+        fn on_verdict(&self, _: usize, _: usize, _: &SatResult, _: &SolverBudget) {}
+        fn on_decided(&self, _: usize, _: usize, _: &SatResult, _: &SolverBudget) {
+            panic!("worker fault");
+        }
+    }
+
     #[test]
-    fn shared_cache_lets_presolved_queries_short_circuit() {
-        // Pre-solve the canonical query out of band through a shared
-        // cache, the way the eager scheduler's final-refinement probe
-        // does, then confirm the canonical pass reproduces the identical
-        // witness (cache hits return the cached model verbatim).
-        let p = Term::var("cc7.p", 8);
-        let a = group_paths(
-            "a",
-            "t",
-            &[path(p.clone().ult(Term::bv_const(8, 100)), out(1))],
-        )
-        .expect("grouping");
-        let b = group_paths(
-            "b",
-            "t",
-            &[path(p.clone().ugt(Term::bv_const(8, 50)), out(2))],
-        )
-        .expect("grouping");
-        let cache = Arc::new(VerdictCache::new());
-        let differ = outputs_differ(&a.groups[0].output, &b.groups[0].output);
-        let mut probe = Solver::with_cache(Arc::clone(&cache));
-        let probed = probe.check(&[
-            a.groups[0].condition.clone(),
-            b.groups[0].condition.clone(),
-            differ,
-        ]);
-        assert!(probed.is_sat());
-        let hooked = crosscheck_hooked(
-            &a,
-            &b,
-            &CrosscheckConfig::default(),
-            CheckHooks {
-                cache: Some(cache),
-                ..Default::default()
-            },
-        );
-        let plain = crosscheck(&a, &b, &CrosscheckConfig::default());
-        assert_eq!(hooked.inconsistencies.len(), 1);
-        assert_eq!(
-            hooked.inconsistencies[0].witness,
-            plain.inconsistencies[0].witness
-        );
+    #[should_panic(expected = "worker fault")]
+    fn parallel_worker_panic_propagates() {
+        // A panic on a crosscheck worker must reach the caller, not turn
+        // into a fabricated Unknown verdict.
+        let (a, b) = hard_pair();
+        let cfg = CrosscheckConfig {
+            solver_budget: SolverBudget::conflicts(1),
+            jobs: 2,
+            ..Default::default()
+        };
+        crosscheck_durable(&a, &b, &cfg, None, Some(&PanicOnDecided));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use soft_harness::{ObservedOutput, PathRecord};
 use soft_smt::simplify::{mk_or_balanced, mk_or_linear};
 use soft_smt::Term;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -150,109 +150,6 @@ impl GroupedResults {
     }
 }
 
-/// Incremental grouping index for the streaming pipeline.
-///
-/// Batch grouping needs the full decision-sorted path list before it can
-/// build a single disjunction; a streaming session has paths trickling in
-/// from explorer workers in completion order. `GroupBuilder` absorbs them
-/// one at a time, maintains a *partial* per-output view the eager
-/// crosscheck scheduler probes against, and on [`GroupBuilder::finalize`]
-/// re-derives the canonical order (paths sorted by decision sequence, the
-/// exact order a batch artifact serializes) so the finalized
-/// [`GroupedResults`] is byte-for-byte the one `group_paths` would have
-/// produced — no matter in which order paths arrived.
-#[derive(Debug, Clone)]
-pub struct GroupBuilder {
-    agent: String,
-    test: String,
-    shape: TreeShape,
-    /// Canonical store: decision sequence → record. The key order *is*
-    /// the batch artifact order, making `finalize` arrival-order-blind.
-    paths: BTreeMap<Vec<bool>, PathRecord>,
-    /// Arrival-order partial buckets (output → slot; slot → conditions).
-    slots: HashMap<ObservedOutput, usize>,
-    buckets: Vec<(ObservedOutput, Vec<Term>)>,
-}
-
-impl GroupBuilder {
-    /// Empty builder for one (agent, test) unit.
-    pub fn new(agent: &str, test: &str, shape: TreeShape) -> GroupBuilder {
-        GroupBuilder {
-            agent: agent.to_string(),
-            test: test.to_string(),
-            shape,
-            paths: BTreeMap::new(),
-            slots: HashMap::new(),
-            buckets: Vec::new(),
-        }
-    }
-
-    /// Absorb one finished path, keyed by its decision sequence, and
-    /// return the arrival-order slot of its output bucket. A duplicate
-    /// key (a replayed path delivered again on resume) is ignored — the
-    /// journal's replay validation already guarantees it matches.
-    pub fn absorb(&mut self, decisions: Vec<bool>, path: PathRecord) -> usize {
-        if self.paths.contains_key(&decisions) {
-            return self.slots[&path.output];
-        }
-        let slot = match self.slots.get(&path.output) {
-            Some(&s) => {
-                self.buckets[s].1.push(path.condition.clone());
-                s
-            }
-            None => {
-                let s = self.buckets.len();
-                self.slots.insert(path.output.clone(), s);
-                self.buckets
-                    .push((path.output.clone(), vec![path.condition.clone()]));
-                s
-            }
-        };
-        self.paths.insert(decisions, path);
-        slot
-    }
-
-    /// Number of absorbed paths.
-    pub fn len(&self) -> usize {
-        self.paths.len()
-    }
-
-    /// True before the first path arrives.
-    pub fn is_empty(&self) -> bool {
-        self.paths.is_empty()
-    }
-
-    /// Number of distinct outputs seen so far.
-    pub fn num_outputs(&self) -> usize {
-        self.buckets.len()
-    }
-
-    /// The output of a partial bucket, by arrival-order slot.
-    pub fn output(&self, slot: usize) -> &ObservedOutput {
-        &self.buckets[slot].0
-    }
-
-    /// Paths absorbed into a partial bucket so far.
-    pub fn partial_count(&self, slot: usize) -> usize {
-        self.buckets[slot].1.len()
-    }
-
-    /// Disjunction over the conditions absorbed into a bucket *so far* —
-    /// an under-approximation of the final group condition (the partial
-    /// disjunction implies the final one), which is what makes eager Sat
-    /// probes conclusive and eager Unsat probes merely advisory.
-    pub fn partial_condition(&self, slot: usize) -> Term {
-        mk_or_balanced(&self.buckets[slot].1)
-    }
-
-    /// Build the canonical [`GroupedResults`]: identical to batch-grouping
-    /// the decision-sorted path list, for every arrival order.
-    pub fn finalize(&self) -> Result<GroupedResults, GroupError> {
-        let ordered: Vec<PathRecord> = self.paths.values().cloned().collect();
-        group_paths_with(&self.agent, &self.test, &ordered, self.shape)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -312,54 +209,6 @@ mod tests {
             db < dl,
             "balanced {db} should be shallower than linear {dl}"
         );
-    }
-
-    #[test]
-    fn builder_matches_batch_for_any_arrival_order() {
-        // Batch reference: paths in canonical (decision-sorted) order.
-        let records: Vec<PathRecord> =
-            vec![path("g5.x", 1, 6), path("g5.x", 2, 8), path("g5.x", 3, 6)];
-        let decisions: Vec<Vec<bool>> =
-            vec![vec![false, false], vec![false, true], vec![true, false]];
-        let batch = group_paths("a", "t", &records).expect("grouping");
-        // Every arrival permutation must finalize to the same groups.
-        let perms: [[usize; 3]; 4] = [[0, 1, 2], [2, 1, 0], [1, 2, 0], [2, 0, 1]];
-        for perm in perms {
-            let mut builder = GroupBuilder::new("a", "t", TreeShape::Balanced);
-            for &k in &perm {
-                builder.absorb(decisions[k].clone(), records[k].clone());
-            }
-            assert_eq!(builder.len(), 3);
-            assert_eq!(builder.num_outputs(), 2);
-            let fin = builder.finalize().expect("finalize");
-            assert_eq!(fin.groups.len(), batch.groups.len(), "perm {perm:?}");
-            for (x, y) in batch.groups.iter().zip(&fin.groups) {
-                assert_eq!(x.output, y.output, "perm {perm:?}");
-                assert_eq!(x.condition, y.condition, "perm {perm:?}");
-                assert_eq!(x.path_count, y.path_count, "perm {perm:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn builder_partial_view_grows_monotonically() {
-        let mut builder = GroupBuilder::new("a", "t", TreeShape::Balanced);
-        let s1 = builder.absorb(vec![false], path("g6.x", 1, 6));
-        assert_eq!(builder.partial_count(s1), 1);
-        let s2 = builder.absorb(vec![true], path("g6.x", 2, 6));
-        assert_eq!(s1, s2, "same output lands in the same bucket");
-        assert_eq!(builder.partial_count(s1), 2);
-        // The partial condition admits both absorbed paths.
-        let cond = builder.partial_condition(s1);
-        let mut solver = soft_smt::Solver::new();
-        for v in [1u64, 2] {
-            let pinned = Term::var("g6.x", 8).eq(Term::bv_const(8, v));
-            assert!(solver.check(&[cond.clone(), pinned]).is_sat());
-        }
-        // Duplicate delivery (a resume replay) is idempotent.
-        builder.absorb(vec![false], path("g6.x", 1, 6));
-        assert_eq!(builder.len(), 2);
-        assert_eq!(builder.partial_count(s1), 2);
     }
 
     #[test]

@@ -48,14 +48,13 @@ pub mod regression;
 pub mod replay;
 pub mod report;
 mod soft;
-pub mod stream;
 
 pub use crosscheck::{
-    crosscheck, crosscheck_durable, crosscheck_hooked, CheckHooks, CheckSeeds, CrosscheckConfig,
-    CrosscheckResult, Inconsistency, UnverifiedPair, VerdictSink,
+    crosscheck, crosscheck_durable, CheckSeeds, CrosscheckConfig, CrosscheckResult, Inconsistency,
+    UnverifiedPair, VerdictSink,
 };
 pub use group::{
-    group_paths, group_paths_with, GroupBuilder, GroupError, GroupedResults, OutputGroup, TreeShape,
+    group_paths, group_paths_with, GroupError, GroupedResults, OutputGroup, TreeShape,
 };
 pub use regression::{condition_diff, regression_check, ConditionDiff, RegressionReport};
 pub use replay::{
@@ -63,4 +62,3 @@ pub use replay::{
 };
 pub use report::{classify_outputs, signature, DivergenceKind};
 pub use soft::{PairReport, Soft};
-pub use stream::{CheckScheduler, Probe};

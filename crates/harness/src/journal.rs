@@ -1249,10 +1249,9 @@ impl PathSink<soft_protocol::TraceEvent> for SessionUnitSink<'_> {
 
 /// Explore one (agent, test) unit with write-ahead journaling and
 /// resume: seed from the recovered unit state (an empty recovery
-/// explores from scratch), emit every path — fresh or replayed — through
-/// `sink` (a [`SessionJournal::unit_sink`], possibly teed with a
-/// streaming consumer), validate the replay against the journal, and
-/// summarize. Replayed paths re-execute concretely — zero forks, zero
+/// explores from scratch), emit every freshly explored path through
+/// `sink` (a [`SessionJournal::unit_sink`]; replays are already on
+/// record), validate the replay against the journal, and summarize. Replayed paths re-execute concretely — zero forks, zero
 /// fresh-branch solver queries. The resulting [`TestRun`] is
 /// byte-identical (modulo wall time) to [`crate::run_test`] for the same
 /// unit at any worker count, interrupted or not.

@@ -28,6 +28,6 @@ pub use journal::{
 };
 pub use proto::JobSpec;
 pub use recorded::{symbolize_frame, RecordedTrace, Symbolize};
-pub use runner::{record_path, run_matrix, run_test, ObservedOutput, PathRecord, TestRun};
+pub use runner::{run_matrix, run_test, ObservedOutput, PathRecord, TestRun};
 pub use store::{job_key, logical_key, ResultStore, StoreEntry};
 pub use wire::TestRunFile;

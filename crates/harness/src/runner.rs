@@ -223,10 +223,8 @@ fn degraded_run(agent: AgentRef, test: &TestCase) -> TestRun {
 
 /// Convert one explored path into the [`PathRecord`] the grouping phase
 /// consumes, or `None` for an engine-aborted path (aborted paths carry no
-/// externally-observable output and are dropped from artifacts). This is
-/// the single normalization point shared by the phased artifact writer
-/// and the streaming session's incremental grouper.
-pub fn record_path(p: &soft_sym::PathResult<TraceEvent>) -> Option<PathRecord> {
+/// externally-observable output and are dropped from artifacts).
+fn record_path(p: &soft_sym::PathResult<TraceEvent>) -> Option<PathRecord> {
     let crashed = match &p.outcome {
         PathOutcome::Completed => false,
         PathOutcome::Crashed(_) => true,

@@ -567,7 +567,7 @@ impl Solver {
             // Variables eliminated by equality propagation still need values
             // so the model satisfies the *original* assertions.
             complete_model(assertions, &mut model);
-            debug_assert!(
+            assert!(
                 assertions.iter().all(|a| model.eval_bool(a)),
                 "simplification model must satisfy original assertions"
             );
@@ -607,7 +607,7 @@ impl Solver {
                 // Re-apply bindings consumed by the preprocessor: evaluate
                 // the original assertions and fill in pinned variables.
                 complete_model(assertions, &mut model);
-                debug_assert!(
+                assert!(
                     assertions.iter().all(|a| model.eval_bool(a)),
                     "solver model must satisfy original assertions"
                 );

@@ -3,7 +3,8 @@
 //! assignments. This is the strongest correctness check of the whole
 //! simplify → bit-blast → CDCL pipeline, because the oracle shares no
 //! code with the solving path (it only uses the evaluator). Formulas are
-//! generated from fixed seeds, so every run checks the same corpus.
+//! generated from fixed seeds, so every run checks the same corpus. The
+//! last test runs a query *sequence* through one incremental context.
 
 use soft_smt::{Assignment, SatResult, Solver, Term};
 
@@ -159,4 +160,48 @@ fn model_exclusion_is_consistent() {
             assert_eq!(verdict, others, "exclusion verdict mismatch for {t}");
         }
     }
+}
+
+const SEQUENCE_QUERIES: u64 = 300;
+
+/// A few hundred conjunction queries, drawn from one seeded formula pool,
+/// through a single solver with an incremental context: every verdict
+/// must match enumeration and every Sat model must satisfy its query.
+/// The context keeps its CNF, learned clauses and UNSAT cores across the
+/// queries, so this checks cross-query state against an oracle that
+/// shares no code with the solver.
+#[test]
+fn incremental_query_sequence_matches_brute_force() {
+    let mut rng = Rng::new(0x0aac_2000);
+    let pool: Vec<Term> = (0..64).map(|_| bool_term(&mut rng, 3)).collect();
+    let mut solver = Solver::new();
+    solver.enable_incremental();
+    let (mut sat, mut unsat) = (0, 0);
+    for q in 0..SEQUENCE_QUERIES {
+        let query: Vec<Term> = (0..1 + rng.below(3))
+            .map(|_| pool[rng.below(pool.len() as u64) as usize].clone())
+            .collect();
+        let expected = brute_force(&query.iter().cloned().reduce(Term::and).expect("non-empty"));
+        match solver.check(&query) {
+            SatResult::Sat(m) => {
+                sat += 1;
+                assert!(expected.is_some(), "query {q}: solver SAT, no model exists");
+                for t in &query {
+                    assert!(m.eval_bool(t), "query {q}: model does not satisfy {t}");
+                }
+            }
+            SatResult::Unsat => {
+                unsat += 1;
+                assert!(
+                    expected.is_none(),
+                    "query {q}: solver UNSAT but {expected:?} is a model"
+                );
+            }
+            SatResult::Unknown => panic!("query {q}: unexpected Unknown without budget"),
+        }
+    }
+    // The sequence must exercise both verdicts, and the context must
+    // have published Unsat answers of its own.
+    assert!(sat > 0 && unsat > 0, "sat={sat} unsat={unsat}");
+    assert!(solver.stats.probe_unsat > 0, "{:?}", solver.stats);
 }

@@ -148,107 +148,6 @@ pub trait PathSink<Out>: Sync {
     /// Called after a non-replay path finishes, before it is merged into
     /// the shared accumulators (write-ahead ordering).
     fn on_path(&self, origin: &[bool], result: &PathResult<Out>, pending: &[(Vec<bool>, &str)]);
-
-    /// Called after a *replayed* path finishes re-execution. Replays are
-    /// already on record — a journal sink ignores them (the default) —
-    /// but a streaming consumer needs them to rebuild its incremental
-    /// state (grouping indexes, pair schedules) when resuming.
-    fn on_replay(&self, _result: &PathResult<Out>) {}
-}
-
-/// A completed path delivered through a [`StreamSink`] channel, in worker
-/// completion order.
-#[derive(Debug, Clone)]
-pub struct StreamedPath<Out> {
-    /// Frontier prefix the path was scheduled under (empty for replays).
-    pub origin: Vec<bool>,
-    /// True for a journaled path re-executed on resume.
-    pub replay: bool,
-    /// The path itself.
-    pub result: PathResult<Out>,
-    /// Sibling prefixes the path scheduled in turn (empty for replays).
-    pub pending: Vec<(Vec<bool>, String)>,
-}
-
-/// A [`PathSink`] that forwards every finished path — replays included —
-/// through a *bounded* channel, so a consumer thread can group and
-/// crosscheck paths while the exploration is still producing them. The
-/// bound provides backpressure: when the consumer lags, explorer workers
-/// block inside the sink callback instead of buffering without limit.
-pub struct StreamSink<Out> {
-    tx: std::sync::mpsc::SyncSender<StreamedPath<Out>>,
-}
-
-impl<Out> StreamSink<Out> {
-    /// Create a sink/receiver pair over a channel holding at most
-    /// `capacity` in-flight paths. Drop the sink (after the exploration
-    /// returns) to close the channel and end the consumer's receive loop.
-    pub fn bounded(
-        capacity: usize,
-    ) -> (
-        StreamSink<Out>,
-        std::sync::mpsc::Receiver<StreamedPath<Out>>,
-    ) {
-        let (tx, rx) = std::sync::mpsc::sync_channel(capacity.max(1));
-        (StreamSink { tx }, rx)
-    }
-
-    fn forward(&self, path: StreamedPath<Out>) {
-        // A dropped receiver means the consumer is gone. The exploration
-        // result still carries every path, so the lost send is the
-        // consumer's problem to surface, not a reason to abort the run.
-        let _ = self.tx.send(path);
-    }
-}
-
-impl<Out: Clone + Send> PathSink<Out> for StreamSink<Out> {
-    fn on_path(&self, origin: &[bool], result: &PathResult<Out>, pending: &[(Vec<bool>, &str)]) {
-        self.forward(StreamedPath {
-            origin: origin.to_vec(),
-            replay: false,
-            result: result.clone(),
-            pending: pending
-                .iter()
-                .map(|(p, s)| (p.clone(), (*s).to_string()))
-                .collect(),
-        });
-    }
-
-    fn on_replay(&self, result: &PathResult<Out>) {
-        self.forward(StreamedPath {
-            origin: Vec::new(),
-            replay: true,
-            result: result.clone(),
-            pending: Vec::new(),
-        });
-    }
-}
-
-/// Forward every sink callback to two underlying sinks, `first` before
-/// `second` — e.g. the write-ahead journal first (durability), then the
-/// streaming channel (consumption).
-pub struct TeeSink<'a, Out> {
-    first: &'a dyn PathSink<Out>,
-    second: &'a dyn PathSink<Out>,
-}
-
-impl<'a, Out> TeeSink<'a, Out> {
-    /// Combine two sinks, notifying `first` before `second`.
-    pub fn new(first: &'a dyn PathSink<Out>, second: &'a dyn PathSink<Out>) -> TeeSink<'a, Out> {
-        TeeSink { first, second }
-    }
-}
-
-impl<Out> PathSink<Out> for TeeSink<'_, Out> {
-    fn on_path(&self, origin: &[bool], result: &PathResult<Out>, pending: &[(Vec<bool>, &str)]) {
-        self.first.on_path(origin, result, pending);
-        self.second.on_path(origin, result, pending);
-    }
-
-    fn on_replay(&self, result: &PathResult<Out>) {
-        self.first.on_replay(result);
-        self.second.on_replay(result);
-    }
 }
 
 /// The outcome of exploring a program.
@@ -330,14 +229,13 @@ fn seed_frontier(frontier: &mut Frontier, seed: Option<&ResumeSeed>) {
     }
 }
 
-/// Report a finished path to the sink: fresh paths through `on_path`,
-/// replays through `on_replay`. Called *before* the path is merged into
-/// the shared accumulators, giving write-ahead ordering: a path is
-/// journaled no later than its siblings become claimable.
+/// Report a freshly explored path to the sink (replays are already on
+/// record). Called *before* the path is merged into the shared
+/// accumulators, giving write-ahead ordering: a path is journaled no
+/// later than its siblings become claimable.
 fn notify_sink<Out>(sink: Option<&dyn PathSink<Out>>, replay: bool, fin: &FinishedPath<Out>) {
     let Some(s) = sink else { return };
     if replay {
-        s.on_replay(&fin.result);
         return;
     }
     let pending: Vec<(Vec<bool>, &str)> = fin
@@ -857,97 +755,5 @@ mod tests {
         let (avg, max) = ex.constraint_size_stats();
         assert!(avg > 0.0);
         assert!(max >= 1);
-    }
-
-    #[test]
-    fn stream_sink_delivers_every_path() {
-        for workers in [1usize, 4] {
-            let cfg = ExplorerConfig {
-                workers,
-                ..Default::default()
-            };
-            let (sink, rx) = StreamSink::bounded(2);
-            let (ex, streamed) = std::thread::scope(|scope| {
-                let consumer = scope.spawn(move || {
-                    let mut got: Vec<StreamedPath<&'static str>> = Vec::new();
-                    while let Ok(p) = rx.recv() {
-                        got.push(p);
-                    }
-                    got
-                });
-                let ex = explore_fn_seeded(&cfg, agent1, None, Some(&sink));
-                drop(sink); // close the channel so the consumer drains out
-                (ex, consumer.join().expect("consumer"))
-            });
-            assert_eq!(streamed.len(), ex.paths.len(), "workers={workers}");
-            assert!(streamed.iter().all(|p| !p.replay));
-            let mut want: Vec<Vec<bool>> = ex.paths.iter().map(|p| p.decisions.clone()).collect();
-            let mut got: Vec<Vec<bool>> = streamed
-                .iter()
-                .map(|p| p.result.decisions.clone())
-                .collect();
-            want.sort();
-            got.sort();
-            assert_eq!(got, want, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn stream_sink_sees_replays_on_resume() {
-        let ex = explore(&ExplorerConfig::default(), agent1);
-        let seed = ResumeSeed {
-            replay: ex.paths.iter().map(|p| p.decisions.clone()).collect(),
-            frontier: Vec::new(),
-        };
-        let (sink, rx) = StreamSink::bounded(2);
-        let (resumed, streamed) = std::thread::scope(|scope| {
-            let consumer = scope.spawn(move || {
-                let mut got: Vec<StreamedPath<&'static str>> = Vec::new();
-                while let Ok(p) = rx.recv() {
-                    got.push(p);
-                }
-                got
-            });
-            let resumed =
-                explore_fn_seeded(&ExplorerConfig::default(), agent1, Some(&seed), Some(&sink));
-            drop(sink);
-            (resumed, consumer.join().expect("consumer"))
-        });
-        // The exhaustive run was fully journaled: the resume replays every
-        // path, forks nothing new, and the stream sees replays only.
-        assert_eq!(resumed.paths.len(), ex.paths.len());
-        assert_eq!(streamed.len(), ex.paths.len());
-        assert!(streamed.iter().all(|p| p.replay));
-    }
-
-    #[test]
-    fn tee_sink_notifies_both_in_order() {
-        use std::sync::Mutex;
-        struct Tag(&'static str, Mutex<Vec<(&'static str, Vec<bool>)>>);
-        impl PathSink<&'static str> for &Tag {
-            fn on_path(
-                &self,
-                _origin: &[bool],
-                result: &PathResult<&'static str>,
-                _pending: &[(Vec<bool>, &str)],
-            ) {
-                let mut log = self.1.lock().unwrap_or_else(|e| e.into_inner());
-                log.push((self.0, result.decisions.clone()));
-            }
-        }
-        let log = Mutex::new(Vec::new());
-        let a = Tag("journal", log);
-        let b = Tag("stream", Mutex::new(Vec::new()));
-        let (ra, rb) = (&a, &b);
-        let tee = TeeSink::new(&ra, &rb);
-        let ex = explore_fn_seeded(&ExplorerConfig::default(), agent1, None, Some(&tee));
-        let ja = a.1.lock().unwrap_or_else(|e| e.into_inner());
-        let jb = b.1.lock().unwrap_or_else(|e| e.into_inner());
-        assert_eq!(ja.len(), ex.paths.len());
-        assert_eq!(jb.len(), ex.paths.len());
-        // Same delivery order on both arms.
-        let da: Vec<_> = ja.iter().map(|(_, d)| d.clone()).collect();
-        let db: Vec<_> = jb.iter().map(|(_, d)| d.clone()).collect();
-        assert_eq!(da, db);
     }
 }

@@ -41,6 +41,6 @@ pub use coverage::{Coverage, CoverageUniverse};
 pub use ctx::{ExecCtx, PathOutcome, PathResult, RunEnd, Stop};
 pub use explorer::{
     explore, explore_fn, explore_fn_seeded, Exploration, ExplorationStats, ExplorerConfig,
-    PathSink, ResumeSeed, SeedPending, StreamSink, StreamedPath, TeeSink,
+    PathSink, ResumeSeed, SeedPending,
 };
 pub use strategy::Strategy;

@@ -1,30 +1,23 @@
-//! The streaming session pipeline (`soft run`).
+//! The session pipeline (`soft run`).
 //!
-//! The phased CLI runs SOFT as four barriers: explore everything, group
-//! everything, crosscheck everything, distill everything. Each phase
-//! leaves most of the machine idle — the solver waits for the explorer,
-//! the replayer waits for the solver. A [`run_session`] call instead
-//! wires the phases into one pipeline per test:
+//! The phased CLI runs SOFT as separate commands with artifacts on disk
+//! between them, and `distill` re-solves the crosscheck `check` already
+//! solved. A [`run_session`] call runs the same stages in one process,
+//! per test:
 //!
-//! - explorer workers emit completed paths through bounded
-//!   [`StreamSink`] channels while they run;
-//! - consumer threads absorb each path into an incremental
-//!   [`GroupBuilder`] and hand freshly grown group pairs to the eager
-//!   [`CheckScheduler`], whose advisory probes warm the verdict cache
-//!   and collect known-Sat hints while exploration is still producing;
-//! - the canonical crosscheck pass re-derives every verdict from
-//!   full-group queries (probe verdicts are never published), solving
-//!   the known-Sat pairs first so eager witness drafting starts on real
-//!   inconsistencies immediately;
-//! - witness distillation drafts begin per Sat verdict via
-//!   [`VerdictSink::on_decided`], and the final corpus is assembled from
-//!   the drafts once the pass completes.
+//! - both agents are explored concurrently, each by `jobs / 2` explorer
+//!   workers;
+//! - the phase-1 artifacts are published, parsed back, and grouped;
+//! - the canonical crosscheck pass solves every group pair once, and
+//!   witness distillation drafts begin per Sat verdict via
+//!   [`VerdictSink::on_decided`] while the pass is still solving;
+//! - the final corpus is assembled from the drafts once the pass
+//!   completes.
 //!
 //! **Determinism invariant**: for the same seed and inputs the session
 //! publishes byte-identical artifacts (modulo recorded wall-clock) to
-//! the phased flow, at any `--jobs`. Eager work only ever *accelerates*
-//! the canonical result: probes are advisory, drafts are pure functions
-//! of the canonical verdicts, and all published verdicts are merged in
+//! the phased flow, at any `--jobs`. Drafts are pure functions of the
+//! canonical verdicts, and all published verdicts are merged in
 //! canonical pair order.
 //!
 //! One [`SessionJournal`] write-ahead log covers the whole session —
@@ -34,23 +27,22 @@
 //! seed the crosscheck, and only the genuinely unfinished work re-runs.
 
 use soft_core::{
-    condition_diff, crosscheck_hooked, CheckHooks, CheckScheduler, CheckSeeds, CrosscheckConfig,
-    GroupBuilder, GroupedResults, Inconsistency, Probe, Soft, TreeShape, VerdictSink,
+    condition_diff, crosscheck_durable, CheckSeeds, CrosscheckConfig, GroupedResults,
+    Inconsistency, Soft, VerdictSink,
 };
 use soft_harness::journal::{
     atomic_write, run_unit_durable, session_fingerprint, SessionJournal, SessionRecovery,
     UnitRecovery, VerdictRec,
 };
 use soft_harness::json::Json;
-use soft_harness::{record_path, TestCase, TestRun, TestRunFile};
-use soft_protocol::{AgentRef, TraceEvent};
+use soft_harness::{run_test, TestCase, TestRun, TestRunFile};
+use soft_protocol::AgentRef;
 use soft_smt::{SatResult, SolverBudget};
-use soft_sym::{ExplorerConfig, StreamSink, StreamedPath, TeeSink};
+use soft_sym::ExplorerConfig;
 use soft_witness::{assemble, draft_witness, DistillConfig, WitnessDraft};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::mpsc::Receiver;
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 
 /// Recover the guarded data even if a sibling worker panicked while
 /// holding the lock; all session state is mutated field-wise, so a
@@ -58,11 +50,6 @@ use std::sync::{Condvar, Mutex, MutexGuard};
 fn recover<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
     lock.lock().unwrap_or_else(|e| e.into_inner())
 }
-
-/// In-flight bound of each explorer→consumer path channel. Small enough
-/// to backpressure a runaway explorer, large enough that grouping (cheap)
-/// never stalls exploration (expensive).
-const STREAM_CAPACITY: usize = 256;
 
 /// Everything `soft run` needs to know; one value drives the whole
 /// multi-test session.
@@ -74,8 +61,9 @@ pub struct SessionConfig {
     pub agent_b: AgentRef,
     /// Tests to run, in order.
     pub tests: Vec<TestCase>,
-    /// Total worker threads, split across exploration, probing, and the
-    /// crosscheck/distill phases. Results are identical for any value.
+    /// Total worker threads: `jobs / 2` explorer workers per agent (the
+    /// two agents explore concurrently), then `jobs` crosscheck and
+    /// distill workers. Results are identical for any value.
     pub jobs: usize,
     /// PRNG seed (exploration strategy + witness fuzzer).
     pub seed: u64,
@@ -94,9 +82,9 @@ pub struct SessionConfig {
     pub resume: bool,
     /// Fsync journal appends and artifact publishes.
     pub fsync: bool,
-    /// Give crosscheck workers and the probe scheduler persistent
-    /// incremental solver contexts (honored only while the session
-    /// budget is unlimited; artifacts are byte-identical either way).
+    /// Give crosscheck workers persistent incremental solver contexts
+    /// (honored only while the session budget is unlimited; artifacts
+    /// are byte-identical either way).
     /// Deliberately excluded from the journal fingerprint: a journal
     /// written under either setting describes the same work.
     pub incremental: bool,
@@ -196,7 +184,7 @@ pub fn check_settings(check: &CrosscheckConfig) -> String {
     )
 }
 
-/// Run the whole streaming session: explore, group, crosscheck, and
+/// Run the whole session: explore, group, crosscheck, and
 /// distill every configured test through one pipeline, publishing the
 /// same artifacts the phased commands would (modulo recorded wall-clock)
 /// for any `jobs` value.
@@ -264,62 +252,9 @@ pub fn run_session(cfg: &SessionConfig) -> Result<SessionReport, String> {
     Ok(SessionReport { outcomes })
 }
 
-/// Bounded work queue feeding probe workers. The closed flag lives under
-/// the same lock as the queue so a close between a worker's emptiness
-/// check and its wait cannot lose the wakeup.
-struct ProbeQueue {
-    state: Mutex<(VecDeque<Probe>, bool)>,
-    cv: Condvar,
-}
-
-impl ProbeQueue {
-    fn new() -> ProbeQueue {
-        ProbeQueue {
-            state: Mutex::new((VecDeque::new(), false)),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn push_all(&self, probes: Vec<Probe>) {
-        if probes.is_empty() {
-            return;
-        }
-        recover(&self.state).0.extend(probes);
-        self.cv.notify_all();
-    }
-
-    /// No more probes will arrive — and none of the backlog is worth
-    /// running anymore. Probes are advisory (the canonical pass
-    /// re-derives every verdict from scratch), so once exploration has
-    /// finished, solving leftover claims serializes the pipeline behind
-    /// the probe solver for zero latency benefit; the pending queue is
-    /// discarded and workers exit after their in-flight probe.
-    fn close(&self) {
-        let mut st = recover(&self.state);
-        st.1 = true;
-        st.0.clear();
-        self.cv.notify_all();
-    }
-
-    /// Next probe, blocking while the queue is open; `None` once closed
-    /// *and* drained.
-    fn pop(&self) -> Option<Probe> {
-        let mut st = recover(&self.state);
-        loop {
-            if let Some(p) = st.0.pop_front() {
-                return Some(p);
-            }
-            if st.1 {
-                return None;
-            }
-            st = self.cv.wait(st).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-}
-
 type DraftMap = Mutex<HashMap<(usize, usize), WitnessDraft>>;
 
-/// The streaming [`VerdictSink`]: journals every canonical verdict, and
+/// The session's [`VerdictSink`]: journals every canonical verdict, and
 /// starts distilling a witness the moment a pair is freshly decided Sat
 /// — from whichever crosscheck worker solved it. Drafting is a pure
 /// function of the canonical verdict, so scheduling order cannot leak
@@ -421,100 +356,42 @@ fn run_one_test(
         });
     }
 
-    // --- Stage 1+2: stream both explorations into incremental groups,
-    // probing group pairs eagerly as they grow.
+    // --- Stage 1: explore both agents concurrently. With a journal each
+    // side writes its paths ahead through its unit sink and replays what
+    // an interrupted run already journaled.
     let explorer_cfg = ExplorerConfig {
         workers: (cfg.jobs / 2).max(1),
         ..base_explorer.clone()
     };
-    let sched = CheckScheduler::new(cfg.solver_budget, cfg.incremental);
-    let builders = Mutex::new((
-        GroupBuilder::new(cfg.agent_a.id(), test.id, TreeShape::Balanced),
-        GroupBuilder::new(cfg.agent_b.id(), test.id, TreeShape::Balanced),
-    ));
-    let queue = ProbeQueue::new();
-
-    let explore_side = |agent: AgentRef,
-                        unit: usize,
-                        sink: StreamSink<TraceEvent>|
-     -> Result<TestRun, String> {
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match journal {
-            Some(j) => {
-                let journal_sink = j.unit_sink(unit);
-                let tee = TeeSink::new(&journal_sink, &sink);
-                run_unit_durable(agent, test, &explorer_cfg, &recovery.units[unit], &tee)
-            }
-            None => run_unit_durable(agent, test, &explorer_cfg, &recovery.units[unit], &sink),
-        }));
-        match outcome {
-            Ok(Ok(run)) => Ok(run),
-            Ok(Err(e)) => Err(format!("exploring {}/{}: {e}", agent.id(), test.id)),
-            Err(_) => Err(format!(
-                "exploring {}/{}: engine panicked",
-                agent.id(),
-                test.id
-            )),
+    let explore_side = |agent: AgentRef, unit: usize| -> Result<TestRun, String> {
+        match journal {
+            Some(j) => run_unit_durable(
+                agent,
+                test,
+                &explorer_cfg,
+                &recovery.units[unit],
+                &j.unit_sink(unit),
+            )
+            .map_err(|e| format!("exploring {}/{}: {e}", agent.id(), test.id)),
+            None => Ok(run_test(agent, test, &explorer_cfg)),
         }
     };
-    // Replays are absorbed too — resuming must rebuild the incremental
-    // group state the interrupted run had built from those paths.
-    let absorb_side = |rx: Receiver<StreamedPath<TraceEvent>>, a_side: bool| {
-        for streamed in rx {
-            let Some(rec) = record_path(&streamed.result) else {
-                continue;
-            };
-            let probes = {
-                let mut guard = recover(&builders);
-                let (builder_a, builder_b) = &mut *guard;
-                let slot = if a_side {
-                    builder_a.absorb(streamed.result.decisions.clone(), rec)
-                } else {
-                    builder_b.absorb(streamed.result.decisions.clone(), rec)
-                };
-                sched.claim(builder_a, builder_b, slot, a_side)
-            };
-            queue.push_all(probes);
-        }
-    };
-
+    let panicked =
+        |agent: AgentRef| format!("exploring {}/{}: engine panicked", agent.id(), test.id);
     let (run_a, run_b) = std::thread::scope(|scope| {
-        let (sink_a, rx_a) = StreamSink::bounded(STREAM_CAPACITY);
-        let (sink_b, rx_b) = StreamSink::bounded(STREAM_CAPACITY);
-        let explorer_a = scope.spawn(|| explore_side(cfg.agent_a, 2 * t, sink_a));
-        let explorer_b = scope.spawn(|| explore_side(cfg.agent_b, 2 * t + 1, sink_b));
-        let consumer_a = scope.spawn(|| absorb_side(rx_a, true));
-        let consumer_b = scope.spawn(|| absorb_side(rx_b, false));
-        for _ in 0..(cfg.jobs / 4).max(1) {
-            scope.spawn(|| {
-                while let Some(probe) = queue.pop() {
-                    sched.run(probe);
-                }
-            });
-        }
-        let run_a = explorer_a.join().unwrap_or_else(|_| {
-            Err(format!(
-                "exploring {}/{}: thread panicked",
-                cfg.agent_a.id(),
-                test.id
-            ))
-        });
-        let run_b = explorer_b.join().unwrap_or_else(|_| {
-            Err(format!(
-                "exploring {}/{}: thread panicked",
-                cfg.agent_b.id(),
-                test.id
-            ))
-        });
-        let _ = consumer_a.join();
-        let _ = consumer_b.join();
-        queue.close();
-        (run_a, run_b)
+        let a = scope.spawn(|| explore_side(cfg.agent_a, 2 * t));
+        let b = scope.spawn(|| explore_side(cfg.agent_b, 2 * t + 1));
+        (
+            a.join().unwrap_or_else(|_| Err(panicked(cfg.agent_a))),
+            b.join().unwrap_or_else(|_| Err(panicked(cfg.agent_b))),
+        )
     });
     let (run_a, run_b) = (run_a?, run_b?);
 
-    // --- Publish phase-1 artifacts, then group from the parsed-back wire
-    // form — the exact input the phased `check` command consumes — so any
-    // wire-roundtrip normalization lands identically in both flows.
+    // --- Stage 2: publish phase-1 artifacts, then group from the
+    // parsed-back wire form — the exact input the phased `check` command
+    // consumes — so any wire-roundtrip normalization lands identically in
+    // both flows.
     let file_a = TestRunFile::from_run(&run_a);
     let file_b = TestRunFile::from_run(&run_b);
     let text_a = file_a.to_json();
@@ -541,8 +418,7 @@ fn run_one_test(
         .map_err(|e| format!("{path_b}: {e}"))?;
 
     // --- Stage 3: the canonical crosscheck pass. Journal-recovered
-    // verdicts seed it, probe work feeds it (shared cache + known-Sat
-    // ordering hints), and fresh Sat verdicts start distillation drafts
+    // verdicts seed it, and fresh Sat verdicts start distillation drafts
     // immediately.
     let mut seeds = CheckSeeds::new();
     for v in &recovery.verdicts[t] {
@@ -607,13 +483,7 @@ fn run_one_test(
         drafts: &drafts,
         collected: &collected,
     };
-    let hooks = CheckHooks {
-        seeds: Some(&seeds),
-        sink: Some(&sink),
-        cache: Some(sched.cache()),
-        solve_first: sched.known_sat(&grouped_a, &grouped_b),
-    };
-    let result = crosscheck_hooked(&grouped_a, &grouped_b, check_cfg, hooks);
+    let result = crosscheck_durable(&grouped_a, &grouped_b, check_cfg, Some(&seeds), Some(&sink));
     if let Some(j) = journal {
         if let Some(e) = j.take_error() {
             return Err(format!("session journal write failed: {e}"));

@@ -2,10 +2,10 @@
 //!
 //! `soft run` must publish byte-identical artifacts to the phased
 //! `phase1 + check + distill` sequence — modulo the recorded wall-clock
-//! — for every seed, at any `--jobs`. The streaming pipeline overlaps
-//! exploration, grouping, eager probing, crosscheck, and distillation,
-//! so this is the test that proves none of that scheduling freedom leaks
-//! into the published bytes.
+//! — for every seed, at any `--jobs`. The session explores both agents
+//! concurrently and drafts witnesses while the crosscheck is still
+//! solving, so this is the test that proves none of that scheduling
+//! freedom leaks into the published bytes.
 
 use soft::core::{crosscheck, CrosscheckConfig};
 use soft::harness::{run_test, suite, TestCase, TestRunFile};

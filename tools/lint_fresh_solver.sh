@@ -5,18 +5,24 @@
 # pays off if solver state persists across the queries of one pass: a
 # worker that builds a fresh `Solver` per pair re-blasts every shared
 # group condition and throws away learned clauses and UNSAT cores after
-# each query. All solver construction in the crosscheck/scheduler layer
-# must therefore go through `worker_solver` in crosscheck.rs — the one
+# each query. All solver construction in the crosscheck layer must
+# therefore go through `worker_solver` in crosscheck.rs — the one
 # audited site that wires in the shared verdict cache, the budget, and
 # the (caller-gated) incremental context. That line carries a
 # `lint-exempt` marker; any other `Solver::new(` / `Solver::with_cache(`
-# in non-test crosscheck/stream code is a regression to per-query
-# throwaway solving. Test code (#[cfg(test)] modules) is exempt: tests
-# construct oracle solvers on purpose.
+# in non-test crosscheck code is a regression to per-query throwaway
+# solving. Test code (#[cfg(test)] modules) is exempt: tests construct
+# oracle solvers on purpose. A listed file that does not exist fails the
+# lint, so a rename cannot silently drop it from the gate.
 set -u
 
 fail=0
-for f in crates/core/src/crosscheck.rs crates/core/src/stream.rs; do
+for f in crates/core/src/crosscheck.rs; do
+    if [ ! -f "$f" ]; then
+        echo "$f: listed file is missing"
+        fail=1
+        continue
+    fi
     # Strip everything from the first `#[cfg(test)]` on: by repo convention
     # test modules are a single trailing `mod tests` block per file.
     hits=$(sed '/#\[cfg(test)\]/,$d' "$f" \
