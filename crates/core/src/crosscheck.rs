@@ -222,8 +222,8 @@ pub struct CrosscheckResult {
     /// checking" column).
     pub check_time: Duration,
     /// Merged per-worker solver statistics across every pass (base +
-    /// escalation rungs), including the incremental-context counters
-    /// (assumption probes, UNSAT-core prunes, CNF cache hits).
+    /// escalation rungs), including the incremental-memo counters
+    /// (assumption probes, probe clauses, CNF cache hits).
     pub solver: SolverStats,
 }
 
@@ -252,10 +252,10 @@ pub struct CrosscheckConfig {
     /// the ladder stops early once the cap makes a rung no larger than
     /// the previous attempt.
     pub retry_cap: Option<u64>,
-    /// Give each worker a persistent incremental solving context
-    /// (default: true). Only takes effect on passes whose budget is
-    /// unlimited — probe outcomes under a finite budget would depend on
-    /// the context's query history and so on worker claim order, which
+    /// Give each worker an incremental CNF memo (default: true). Only
+    /// takes effect on passes whose budget is unlimited — probe outcomes
+    /// under a finite budget could upgrade a canonical Unknown and would
+    /// then depend on worker claim order, which
     /// would break the jobs-count determinism guarantee. Verdicts and
     /// artifacts are byte-identical either way; this is purely a speed
     /// lever.
@@ -561,9 +561,9 @@ fn notify_sink(
 /// Construct one pass-lifetime pair-query solver. This is the *single*
 /// place crosscheck builds a [`Solver`] (`tools/lint_fresh_solver.sh`
 /// gates against throwaway per-pair construction): a worker's solver
-/// lives for the whole pass, and with `incremental` it carries a
-/// persistent context so the pairs it claims share bit-blasting, learned
-/// clauses, and recorded UNSAT cores. Callers own the gating rule: pass
+/// lives for the whole pass, and with `incremental` it carries a CNF
+/// memo so the pairs it claims share the bit-blasting of their group
+/// conditions. Callers own the gating rule: pass
 /// `incremental` only when the pass budget is unlimited (see
 /// [`CrosscheckConfig::incremental`]).
 fn worker_solver(cache: Arc<VerdictCache>, budget: SolverBudget, incremental: bool) -> Solver {

@@ -6,23 +6,91 @@
 //! long division, barrel shifters), which is also how STP lowers the
 //! bitvector theory. Encodings are cached per term so the shared DAG
 //! structure of path conditions translates to shared circuitry.
+//!
+//! Every circuit is built from three gates (and, xor, multiplexer). Where
+//! a gate's definition goes is the blaster's [`GateSink`]: a
+//! [`SatSolver`] receives each definition as its Tseitin clauses at once,
+//! while the incremental probe's memo ([`crate::incremental`]) records the
+//! definitions by output variable and loads only the ones a query needs.
 
 use crate::sat::{Lit, SatSolver};
 use crate::term::{BvBinOp, BvUnaryOp, CmpOp, Op, Term};
 use crate::Assignment;
 use std::collections::HashMap;
 
-/// Bit-blasting context owning the SAT solver.
+/// A gate over input literals; its output literal is named separately.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Gate {
+    /// `a ∧ b`.
+    And(Lit, Lit),
+    /// `a ⊕ b`.
+    Xor(Lit, Lit),
+    /// `if s then t else e`.
+    Mux(Lit, Lit, Lit),
+}
+
+impl Gate {
+    /// Emit the Tseitin clauses of `o ↔ gate`, always in the same order.
+    pub fn clauses(self, o: Lit, mut emit: impl FnMut(&[Lit])) {
+        match self {
+            Gate::And(a, b) => {
+                emit(&[o.negate(), a]);
+                emit(&[o.negate(), b]);
+                emit(&[o, a.negate(), b.negate()]);
+            }
+            Gate::Xor(a, b) => {
+                emit(&[a, b, o.negate()]);
+                emit(&[a, b.negate(), o]);
+                emit(&[a.negate(), b, o]);
+                emit(&[a.negate(), b.negate(), o.negate()]);
+            }
+            Gate::Mux(s, t, e) => {
+                emit(&[s.negate(), t.negate(), o]);
+                emit(&[s.negate(), t, o.negate()]);
+                emit(&[s, e.negate(), o]);
+                emit(&[s, e, o.negate()]);
+            }
+        }
+    }
+}
+
+/// Receiver of the bit-blaster's variables and gate definitions.
+pub trait GateSink: Default {
+    /// Allocate a fresh variable.
+    fn new_var(&mut self) -> u32;
+    /// Assert `l` (the blaster's constant-true literal).
+    fn unit(&mut self, l: Lit);
+    /// Define the fresh output literal `o` as `gate` over earlier literals.
+    fn define(&mut self, o: Lit, gate: Gate);
+}
+
+impl GateSink for SatSolver {
+    fn new_var(&mut self) -> u32 {
+        SatSolver::new_var(self)
+    }
+
+    fn unit(&mut self, l: Lit) {
+        self.add_clause(&[l]);
+    }
+
+    fn define(&mut self, o: Lit, gate: Gate) {
+        gate.clauses(o, |c| {
+            self.add_clause(c);
+        });
+    }
+}
+
+/// Bit-blasting context owning its gate sink (by default a SAT solver).
 ///
 /// Encodings are cached per term, keyed by the hash-consed DAG node id
 /// (interner ids are unique for the life of the process, and the cache
 /// holds the [`Term`] alive through its key's origin anyway via the
-/// global interner). In a long-lived incremental context this means each
-/// shared subterm is lowered to CNF once per *context*, not once per
-/// query.
-pub struct BitBlaster {
-    /// Underlying SAT solver; exposed for statistics inspection.
-    pub sat: SatSolver,
+/// global interner). In a long-lived memo this means each shared subterm
+/// is lowered once per *memo*, not once per query.
+pub struct BitBlaster<S: GateSink = SatSolver> {
+    /// Where gate definitions go; for a [`SatSolver`], exposed for
+    /// solving and statistics inspection.
+    pub sat: S,
     /// Times a `blast_bv`/`blast_bool` lookup was served from the CNF
     /// cache instead of re-encoding the node.
     pub cache_hits: u64,
@@ -32,19 +100,19 @@ pub struct BitBlaster {
     true_lit: Lit,
 }
 
-impl Default for BitBlaster {
+impl<S: GateSink> Default for BitBlaster<S> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl BitBlaster {
-    /// Fresh context with an empty solver.
+impl<S: GateSink> BitBlaster<S> {
+    /// Fresh context with an empty sink.
     pub fn new() -> Self {
-        let mut sat = SatSolver::new();
+        let mut sat = S::default();
         let t = sat.new_var();
         let true_lit = Lit::pos(t);
-        sat.add_clause(&[true_lit]);
+        sat.unit(true_lit);
         BitBlaster {
             sat,
             cache_hits: 0,
@@ -90,9 +158,7 @@ impl BitBlaster {
             return self.false_lit();
         }
         let o = self.fresh();
-        self.sat.add_clause(&[o.negate(), a]);
-        self.sat.add_clause(&[o.negate(), b]);
-        self.sat.add_clause(&[o, a.negate(), b.negate()]);
+        self.sat.define(o, Gate::And(a, b));
         o
     }
 
@@ -120,10 +186,7 @@ impl BitBlaster {
             return self.true_lit;
         }
         let o = self.fresh();
-        self.sat.add_clause(&[a, b, o.negate()]);
-        self.sat.add_clause(&[a, b.negate(), o]);
-        self.sat.add_clause(&[a.negate(), b, o]);
-        self.sat.add_clause(&[a.negate(), b.negate(), o.negate()]);
+        self.sat.define(o, Gate::Xor(a, b));
         o
     }
 
@@ -143,10 +206,7 @@ impl BitBlaster {
             return t;
         }
         let o = self.fresh();
-        self.sat.add_clause(&[s.negate(), t.negate(), o]);
-        self.sat.add_clause(&[s.negate(), t, o.negate()]);
-        self.sat.add_clause(&[s, e.negate(), o]);
-        self.sat.add_clause(&[s, e, o.negate()]);
+        self.sat.define(o, Gate::Mux(s, t, e));
         o
     }
 
@@ -439,7 +499,9 @@ impl BitBlaster {
         self.bool_cache.insert(t.id(), lit);
         lit
     }
+}
 
+impl BitBlaster {
     /// Assert a boolean term as a top-level constraint.
     pub fn assert_term(&mut self, t: &Term) {
         let l = self.blast_bool(t);
@@ -470,7 +532,7 @@ mod tests {
 
     /// Assert `t`, solve, and return the satisfying assignment (if SAT).
     fn solve_one(t: &Term) -> Option<Assignment> {
-        let mut bb = BitBlaster::new();
+        let mut bb: BitBlaster = BitBlaster::new();
         bb.assert_term(t);
         match bb.sat.solve() {
             SatOutcome::Sat => {

@@ -1,33 +1,27 @@
-//! Persistent incremental solving context: assumption probes over a
-//! shared CNF encoding.
+//! Incremental probing: a per-worker CNF memo, and one SAT instance per
+//! probe loaded with only the query's own cone.
 //!
 //! A crosscheck test asks hundreds of closely-related questions — "can
 //! group *i* of agent A and group *j* of agent B fire on the same input
-//! that makes their replies differ?" — and every pair shares almost its
-//! entire assertion set with every other pair of the same test. The
-//! fresh-solver flow re-bitblasts and re-searches that shared structure
-//! from scratch per pair. [`IncrementalSolver`] instead keeps **one**
-//! CDCL instance alive per test:
+//! that makes their replies differ?" — and every pair shares its group
+//! conditions with the other pairs of the same row and column. The fresh
+//! flow re-bitblasts those shared conditions for every pair.
+//! [`IncrementalSolver`] instead keeps, per (test, worker):
 //!
-//! - Each distinct assertion term is bit-blasted **once** (the
-//!   [`BitBlaster`] CNF cache is keyed by hash-consed DAG node id, so
-//!   shared subterms encode once even across distinct assertions) and
-//!   guarded behind a fresh *activation literal* `a_t` via the clause
-//!   `¬a_t ∨ enc(t)`. With `a_t` unset the encoding is inert; assuming
-//!   `a_t` turns the assertion on for one query.
-//! - A query over assertions `{t₁..tₙ}` becomes
-//!   [`SatSolver::solve_under_assumptions`]`(&[a_t1..a_tn])`. Learned
-//!   clauses, variable activities, and saved phases survive between
-//!   queries — sound because activation guards make every added clause a
-//!   logical consequence of the *union* of all encoded assertions, never
-//!   of any particular query's subset.
-//! - When a probe is Unsat the solver's final-conflict analysis yields
-//!   an **UNSAT core** over the assumptions. The core is recorded, and
-//!   any later probe whose assumption set contains a recorded core is
-//!   refuted without search ([`IncrementalSolver::core_prunes`]). A core
-//!   that avoids both pair-specific activation literals refutes every
-//!   pair sharing the remaining conditions — whole families of pairs
-//!   collapse into one recorded core.
+//! - **A CNF memo.** Each distinct term is bit-blasted **once** (the
+//!   [`BitBlaster`] cache is keyed by hash-consed DAG node id, so shared
+//!   subterms encode once even across distinct conditions). The memo
+//!   holds no clauses: it records each gate's Tseitin definition (and,
+//!   xor, mux) by output variable.
+//! - **A cone probe.** A query over conjuncts `{t₁..tₙ}` walks the gate
+//!   definitions back from the literals of `t₁..tₙ`, renumbers the
+//!   variables it reaches compactly, and loads just those gates' clauses
+//!   — for each gate only the half its polarity in the query needs —
+//!   plus the units `t₁..tₙ` into one reused [`SatSolver`]. The probe's
+//!   size is the query's own, however many conditions the memo has
+//!   encoded for other pairs; the solver is [`SatSolver::reset`] between
+//!   probes, keeping its allocations but no clause, learned clause or
+//!   counter.
 //!
 //! Probes are **advisory accelerators**, not a replacement verdict path:
 //! only Unsat — a value-deterministic answer — is published by the
@@ -35,275 +29,213 @@
 //! the canonical fresh solve so models and budget-limited Unknowns stay
 //! byte-identical to the non-incremental flow.
 
-use crate::bitblast::BitBlaster;
-use crate::sat::{Lit, SatOutcome};
-use crate::solver::SolverBudget;
+use crate::bitblast::{BitBlaster, Gate, GateSink};
+use crate::sat::{Lit, SatOutcome, SatSolver};
+use crate::solver::{SolverBudget, SolverStats};
 use crate::Term;
-use std::collections::HashMap;
 use std::fmt;
 use std::time::Instant;
 
-#[cfg(doc)]
-use crate::sat::SatSolver;
-
-/// True if every literal of `core` appears in `set`; both slices must be
-/// sorted ascending by raw literal code.
-fn is_subset(core: &[Lit], set: &[Lit]) -> bool {
-    let mut set = set.iter();
-    'outer: for c in core {
-        for s in set.by_ref() {
-            if s == c {
-                continue 'outer;
-            }
-            if s.0 > c.0 {
-                return false;
-            }
-        }
-        return false;
-    }
-    true
+/// How the memo defines one of its variables.
+#[derive(Debug, Clone, Copy)]
+enum Def {
+    /// A bit of a term variable: free.
+    Input,
+    /// The blaster's constant-true literal.
+    True,
+    /// The output of a gate.
+    Gate(Gate),
 }
 
-/// A long-lived SAT context answering assertion-set queries as
-/// assumption probes over activation literals (see the module docs).
+/// The memo's gate store: one definition per variable.
+#[derive(Default)]
+struct GateDefs(Vec<Def>);
+
+impl GateSink for GateDefs {
+    fn new_var(&mut self) -> u32 {
+        self.0.push(Def::Input);
+        (self.0.len() - 1) as u32
+    }
+
+    fn unit(&mut self, l: Lit) {
+        debug_assert!(!l.is_neg(), "the blaster asserts only its true literal");
+        self.0[l.var() as usize] = Def::True;
+    }
+
+    fn define(&mut self, o: Lit, gate: Gate) {
+        self.0[o.var() as usize] = Def::Gate(gate);
+    }
+}
+
+/// A per-worker CNF memo answering assertion-set queries as cone probes
+/// (see the module docs).
 ///
-/// One instance per (test, worker): all queries routed through it must
-/// draw from the same test's assertion universe so the shared encoding
-/// and recorded cores stay relevant (and small).
+/// One instance per (test, worker): the memo grows with every condition
+/// it encodes, so it should serve one test's conditions, which recur.
+#[derive(Default)]
 pub struct IncrementalSolver {
-    /// The persistent encoding + CDCL instance.
-    bb: BitBlaster,
-    /// Activation literal per encoded assertion, keyed by the term's
-    /// hash-consed DAG node id (ids are unique for the process lifetime).
-    acts: HashMap<u64, Lit>,
-    /// Recorded UNSAT cores (each sorted ascending by literal code). Any
-    /// probe whose assumption set contains one of these is Unsat without
-    /// search. An empty core means the base encoding itself is unsat, so
-    /// every probe is.
-    refuted: Vec<Vec<Lit>>,
-    /// Bound on `acts` (encoded assertions — and with them the CNF,
-    /// learned clauses, and variable store). Crossing it resets the
-    /// whole context (see [`Self::set_limits`]).
-    max_encoded: usize,
-    /// Bound on `refuted`; crossing it drops the oldest half.
-    max_cores: usize,
-    /// Entries (encoded assertions + recorded cores) dropped by the
-    /// bounds above.
-    evictions: u64,
-    /// SAT counters retired by context resets, folded into
-    /// [`Self::sat_counters`] so callers' around-probe deltas never go
-    /// backwards.
-    retired: (u64, u64, u64),
-    /// CNF cache hits retired by context resets.
-    retired_cnf_hits: u64,
-    probes: u64,
-    probe_unsat: u64,
-    core_prunes: u64,
-    bitblast_ns: u64,
-    search_ns: u64,
-}
-
-/// Default bound on encoded assertions per context. A single test's
-/// assertion universe is far smaller; the bound exists so a context
-/// reused across many jobs in a long-lived process cannot grow without
-/// limit.
-pub const DEFAULT_MAX_ENCODED: usize = 1 << 16;
-
-/// Default bound on recorded UNSAT cores per context.
-pub const DEFAULT_MAX_CORES: usize = 1 << 12;
-
-impl Default for IncrementalSolver {
-    fn default() -> Self {
-        IncrementalSolver::new()
-    }
+    /// Every term encoded so far, as gate definitions.
+    memo: BitBlaster<GateDefs>,
+    /// The probe instance, reset and reloaded for every probe.
+    sat: SatSolver,
+    /// Probe variable + 1 of each memo variable in the current cone;
+    /// 0 outside it.
+    renum: Vec<u32>,
+    /// Polarities (bit 0: forced true, bit 1: forced false) each memo
+    /// variable of the current cone is reached with; 0 outside it.
+    pol: Vec<u8>,
+    /// Memo variables of the current cone, in load order.
+    cone: Vec<u32>,
 }
 
 impl fmt::Debug for IncrementalSolver {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("IncrementalSolver")
-            .field("probes", &self.probes)
-            .field("probe_unsat", &self.probe_unsat)
-            .field("core_prunes", &self.core_prunes)
-            .field("encoded_terms", &self.acts.len())
-            .field("recorded_cores", &self.refuted.len())
-            .field("learned_retained", &self.bb.sat.num_learned())
+            .field("memo_vars", &self.memo.sat.0.len())
             .finish_non_exhaustive()
     }
 }
 
 impl IncrementalSolver {
-    /// Fresh, empty context with the default size bounds.
+    /// Fresh, empty memo.
     pub fn new() -> Self {
-        IncrementalSolver {
-            bb: BitBlaster::new(),
-            acts: HashMap::new(),
-            refuted: Vec::new(),
-            max_encoded: DEFAULT_MAX_ENCODED,
-            max_cores: DEFAULT_MAX_CORES,
-            evictions: 0,
-            retired: (0, 0, 0),
-            retired_cnf_hits: 0,
-            probes: 0,
-            probe_unsat: 0,
-            core_prunes: 0,
-            bitblast_ns: 0,
-            search_ns: 0,
-        }
+        IncrementalSolver::default()
     }
 
-    /// Override the context's size bounds (both clamped to at least 1).
+    /// Probe the conjunction of `key` under `budget`, adding the probe's
+    /// effort to `stats` (`assumption_probes`, `probe_unsat`,
+    /// `probe_clauses`, `cnf_cache_hits`, the SAT counters and times).
     ///
-    /// Crossing `max_encoded` drops the whole context — encoding, learned
-    /// clauses, and recorded cores — at the next probe; everything it
-    /// held is advisory, so verdicts are unaffected, only re-derived.
-    /// Crossing `max_cores` drops the oldest half of the recorded cores.
-    pub fn set_limits(&mut self, max_encoded: usize, max_cores: usize) {
-        self.max_encoded = max_encoded.max(1);
-        self.max_cores = max_cores.max(1);
-    }
-
-    /// Retire the current encoding wholesale: counters the facade reads
-    /// as cumulative move into `retired`, everything else is rebuilt
-    /// from scratch on demand.
-    fn reset_context(&mut self) {
-        self.evictions += (self.acts.len() + self.refuted.len()) as u64;
-        self.retired.0 += self.bb.sat.conflicts;
-        self.retired.1 += self.bb.sat.decisions;
-        self.retired.2 += self.bb.sat.propagations;
-        self.retired_cnf_hits += self.bb.cache_hits;
-        self.bb = BitBlaster::new();
-        self.acts.clear();
-        self.refuted.clear();
-    }
-
-    /// The activation literal guarding `t`'s encoding, encoding the term
-    /// on first sight (`¬a_t ∨ enc(t)`).
-    fn activation(&mut self, t: &Term) -> Lit {
-        if let Some(&a) = self.acts.get(&t.id()) {
-            return a;
-        }
-        let enc = self.bb.blast_bool(t);
-        let act = Lit::pos(self.bb.sat.new_var());
-        self.bb.sat.add_clause(&[act.negate(), enc]);
-        self.acts.insert(t.id(), act);
-        act
-    }
-
-    /// Probe the conjunction of `key` under `budget` (per-probe deltas;
-    /// the persistent instance's cumulative counters never starve a
-    /// later probe).
-    ///
-    /// Unsat answers are definitive under any budget. Sat answers mean
-    /// "satisfiable, model available from this context's history-
-    /// dependent state" — callers wanting a canonical model must
-    /// re-derive it. Unknown means the budget ran out *in this context*;
-    /// a fresh solve may still decide.
-    pub fn probe(&mut self, key: &[Term], budget: &SolverBudget) -> SatOutcome {
-        self.probes += 1;
-        if self.acts.len() >= self.max_encoded {
-            self.reset_context();
-        }
+    /// Unsat answers are definitive under any budget. Sat means
+    /// satisfiable, but the probe's model is not the canonical one, so
+    /// callers wanting a model re-derive it; Unknown means the budget ran
+    /// out on this probe, and a fresh solve may still decide.
+    pub fn probe(
+        &mut self,
+        key: &[Term],
+        budget: &SolverBudget,
+        stats: &mut SolverStats,
+    ) -> SatOutcome {
+        stats.assumption_probes += 1;
         let t0 = Instant::now();
-        let mut assumptions = Vec::with_capacity(key.len());
-        for t in key {
-            assumptions.push(self.activation(t));
-        }
-        self.bitblast_ns += t0.elapsed().as_nanos() as u64;
-        assumptions.sort_unstable_by_key(|l| l.0);
-        assumptions.dedup();
-        if self
-            .refuted
-            .iter()
-            .any(|core| is_subset(core, &assumptions))
-        {
-            self.core_prunes += 1;
-            self.probe_unsat += 1;
-            return SatOutcome::Unsat;
-        }
-        self.bb.sat.max_conflicts = budget.max_conflicts;
-        self.bb.sat.max_propagations = budget.max_propagations;
-        self.bb.sat.deadline = budget.time_limit.map(|d| Instant::now() + d);
+        let hits = self.memo.cache_hits;
+        let roots: Vec<Lit> = key.iter().map(|t| self.memo.blast_bool(t)).collect();
+        stats.cnf_cache_hits += self.memo.cache_hits - hits;
+        stats.probe_clauses += self.load_cone(&roots);
+        stats.bitblast_ns += t0.elapsed().as_nanos() as u64;
+        self.sat.max_conflicts = budget.max_conflicts;
+        self.sat.max_propagations = budget.max_propagations;
+        self.sat.deadline = budget.time_limit.map(|d| Instant::now() + d);
         let t1 = Instant::now();
-        let out = self.bb.sat.solve_under_assumptions(&assumptions);
-        self.search_ns += t1.elapsed().as_nanos() as u64;
-        if matches!(out, SatOutcome::Unsat) {
-            self.probe_unsat += 1;
-            let mut core: Vec<Lit> = self.bb.sat.last_core().to_vec();
-            core.sort_unstable_by_key(|l| l.0);
-            core.dedup();
-            // Keep only non-subsumed cores: a core already implied by a
-            // recorded subset adds no pruning power.
-            if !self.refuted.iter().any(|c| is_subset(c, &core)) {
-                self.refuted.push(core);
-            }
-            if self.refuted.len() > self.max_cores {
-                // Cores are advisory prune records; dropping the oldest
-                // half costs pruning power, never correctness.
-                let dropped = self.refuted.len() - self.max_cores / 2;
-                self.refuted.drain(..dropped);
-                self.evictions += dropped as u64;
-            }
+        let out = self.sat.solve();
+        stats.search_ns += t1.elapsed().as_nanos() as u64;
+        stats.sat_conflicts += self.sat.conflicts;
+        stats.sat_decisions += self.sat.decisions;
+        stats.sat_propagations += self.sat.propagations;
+        if out == SatOutcome::Unsat {
+            stats.probe_unsat += 1;
         }
         out
     }
 
-    /// Assumption probes issued (including core-pruned ones).
-    pub fn probes(&self) -> u64 {
-        self.probes
-    }
-
-    /// Probes answered Unsat (search or core prune).
-    pub fn probe_unsat(&self) -> u64 {
-        self.probe_unsat
-    }
-
-    /// Probes refuted by a recorded UNSAT core without any search.
-    pub fn core_prunes(&self) -> u64 {
-        self.core_prunes
-    }
-
-    /// Learned clauses currently retained across queries.
-    pub fn learned_retained(&self) -> u64 {
-        self.bb.sat.num_learned() as u64
-    }
-
-    /// CNF cache hits in the persistent bit-blaster (shared subterms
-    /// served without re-encoding), including hits retired by resets.
-    pub fn cnf_cache_hits(&self) -> u64 {
-        self.retired_cnf_hits + self.bb.cache_hits
-    }
-
-    /// Entries (encoded assertions + recorded cores) dropped by the
-    /// context's size bounds.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    /// Assertions currently encoded behind activation literals.
-    pub fn encoded_terms(&self) -> usize {
-        self.acts.len()
-    }
-
-    /// UNSAT cores currently recorded.
-    pub fn recorded_cores(&self) -> usize {
-        self.refuted.len()
-    }
-
-    /// Cumulative `(conflicts, decisions, propagations)` of the
-    /// underlying SAT instance, including effort retired by context
-    /// resets — callers snapshot around [`Self::probe`] to attribute
-    /// per-probe search effort, and the counter never goes backwards.
-    pub fn sat_counters(&self) -> (u64, u64, u64) {
-        (
-            self.retired.0 + self.bb.sat.conflicts,
-            self.retired.1 + self.bb.sat.decisions,
-            self.retired.2 + self.bb.sat.propagations,
-        )
-    }
-
-    /// Cumulative `(bitblast_ns, search_ns)` spent in this context.
-    pub fn timing_ns(&self) -> (u64, u64) {
-        (self.bitblast_ns, self.search_ns)
+    /// Reset the probe instance and load the gates `roots` depend on,
+    /// renumbered compactly, plus each root as a unit. Returns the number
+    /// of clauses loaded.
+    ///
+    /// Each gate contributes only the half of its definition that the
+    /// polarities it is reached with need (Plaisted–Greenbaum): an output
+    /// only ever forced true needs `o → gate`, one only forced false
+    /// needs `gate → o`. The result is equisatisfiable with the full
+    /// Tseitin encoding, which is all an Unsat answer relies on.
+    fn load_cone(&mut self, roots: &[Lit]) -> u64 {
+        const POS: u8 = 1;
+        const NEG: u8 = 2;
+        /// The polarities `p` of literal `l`, seen on its variable.
+        fn on_var(p: u8, l: Lit) -> u8 {
+            if l.is_neg() {
+                ((p & POS) << 1) | ((p & NEG) >> 1)
+            } else {
+                p
+            }
+        }
+        let IncrementalSolver {
+            memo,
+            sat,
+            renum,
+            pol,
+            cone,
+        } = self;
+        let defs = &memo.sat.0;
+        sat.reset();
+        renum.resize(defs.len(), 0);
+        pol.resize(defs.len(), 0);
+        let mut stack: Vec<(u32, u8)> = roots.iter().map(|&l| (l.var(), on_var(POS, l))).collect();
+        while let Some((v, p)) = stack.pop() {
+            let v = v as usize;
+            let new = p & !pol[v];
+            if new == 0 {
+                continue;
+            }
+            if pol[v] == 0 {
+                renum[v] = sat.new_var() + 1;
+                cone.push(v as u32);
+            }
+            pol[v] |= new;
+            match defs[v] {
+                Def::Input | Def::True => {}
+                Def::Gate(Gate::And(a, b)) => {
+                    stack.push((a.var(), on_var(new, a)));
+                    stack.push((b.var(), on_var(new, b)));
+                }
+                Def::Gate(Gate::Xor(a, b)) => {
+                    stack.push((a.var(), POS | NEG));
+                    stack.push((b.var(), POS | NEG));
+                }
+                Def::Gate(Gate::Mux(s, t, e)) => {
+                    stack.push((s.var(), POS | NEG));
+                    stack.push((t.var(), on_var(new, t)));
+                    stack.push((e.var(), on_var(new, e)));
+                }
+            }
+        }
+        let lit = |l: Lit| Lit::new(renum[l.var() as usize] - 1, l.is_neg());
+        let mut clauses = roots.len() as u64;
+        for &v in cone.iter() {
+            let o = Lit::pos(renum[v as usize] - 1);
+            let p = pol[v as usize];
+            match defs[v as usize] {
+                Def::Input => {}
+                Def::True => {
+                    clauses += 1;
+                    sat.add_unit(o);
+                }
+                Def::Gate(g) => {
+                    let g = match g {
+                        Gate::And(a, b) => Gate::And(lit(a), lit(b)),
+                        Gate::Xor(a, b) => Gate::Xor(lit(a), lit(b)),
+                        Gate::Mux(s, t, e) => Gate::Mux(lit(s), lit(t), lit(e)),
+                    };
+                    // A clause with `¬o` is half of `o → gate`; one with
+                    // `o` is half of `gate → o`.
+                    g.clauses(o, |c| {
+                        let half = if c.contains(&o) { NEG } else { POS };
+                        if p & half != 0 {
+                            clauses += 1;
+                            sat.add_gate_clause(c);
+                        }
+                    });
+                }
+            }
+        }
+        for &r in roots {
+            sat.add_unit(lit(r));
+        }
+        for &v in cone.iter() {
+            renum[v as usize] = 0;
+            pol[v as usize] = 0;
+        }
+        cone.clear();
+        clauses
     }
 }
 
@@ -322,51 +254,16 @@ mod tests {
         let high = p.clone().ugt(Term::bv_const(16, 20));
         let mid = p.clone().eq(Term::bv_const(16, 15));
         let mut inc = IncrementalSolver::new();
+        let mut stats = SolverStats::default();
         let b = SolverBudget::unlimited();
-        assert!(matches!(
-            inc.probe(&[low.clone(), high.clone()], &b),
-            SatOutcome::Unsat
-        ));
-        assert!(matches!(
-            inc.probe(std::slice::from_ref(&low), &b),
-            SatOutcome::Sat
-        ));
-        assert!(matches!(
-            inc.probe(std::slice::from_ref(&high), &b),
-            SatOutcome::Sat
-        ));
-        assert!(matches!(
-            inc.probe(&[mid.clone(), low], &b),
-            SatOutcome::Unsat
-        ));
-        assert!(matches!(inc.probe(&[mid, high], &b), SatOutcome::Unsat));
-        assert_eq!(inc.probes(), 5);
-        assert_eq!(inc.probe_unsat(), 3);
-    }
-
-    #[test]
-    fn recorded_core_prunes_supersets_without_search() {
-        let p = port();
-        let low = p.clone().ult(Term::bv_const(16, 10));
-        let high = p.clone().ugt(Term::bv_const(16, 20));
-        // Unrelated third condition on a different variable.
-        let other = Term::var("inc.other", 8).eq(Term::bv_const(8, 1));
-        let mut inc = IncrementalSolver::new();
-        let b = SolverBudget::unlimited();
-        assert!(matches!(
-            inc.probe(&[low.clone(), high.clone()], &b),
-            SatOutcome::Unsat
-        ));
-        assert_eq!(inc.core_prunes(), 0);
-        // {low, high} is the recorded core; any superset is refuted
-        // without touching the SAT instance.
-        let before = inc.sat_counters();
-        assert!(matches!(
-            inc.probe(&[low, high, other], &b),
-            SatOutcome::Unsat
-        ));
-        assert_eq!(inc.core_prunes(), 1);
-        assert_eq!(inc.sat_counters(), before, "prune must not search");
+        let mut probe = |key: &[Term]| inc.probe(key, &b, &mut stats);
+        assert_eq!(probe(&[low.clone(), high.clone()]), SatOutcome::Unsat);
+        assert_eq!(probe(std::slice::from_ref(&low)), SatOutcome::Sat);
+        assert_eq!(probe(std::slice::from_ref(&high)), SatOutcome::Sat);
+        assert_eq!(probe(&[mid.clone(), low]), SatOutcome::Unsat);
+        assert_eq!(probe(&[mid, high]), SatOutcome::Unsat);
+        assert_eq!(stats.assumption_probes, 5);
+        assert_eq!(stats.probe_unsat, 3);
     }
 
     #[test]
@@ -377,107 +274,64 @@ mod tests {
         let c1 = bump.clone().ugt(Term::bv_const(16, 5));
         let c2 = bump.ult(Term::bv_const(16, 100));
         let mut inc = IncrementalSolver::new();
+        let mut stats = SolverStats::default();
         let b = SolverBudget::unlimited();
-        assert!(matches!(inc.probe(&[c1], &b), SatOutcome::Sat));
-        let after_first = inc.cnf_cache_hits();
-        assert!(matches!(inc.probe(&[c2], &b), SatOutcome::Sat));
+        assert_eq!(inc.probe(&[c1], &b, &mut stats), SatOutcome::Sat);
+        let after_first = stats.cnf_cache_hits;
+        assert_eq!(inc.probe(&[c2], &b, &mut stats), SatOutcome::Sat);
         assert!(
-            inc.cnf_cache_hits() > after_first,
+            stats.cnf_cache_hits > after_first,
             "second condition must reuse the shared subterm's CNF"
         );
     }
 
     #[test]
-    fn budget_limits_one_probe_not_the_context() {
-        // A hard query under a starved budget returns Unknown — but the
-        // budget is a per-probe delta, so a retry under the same tiny
-        // budget gets a fresh allowance and does real work (cumulative
-        // accounting would return Unknown immediately with zero new
-        // conflicts), and the context still decides once unstarved.
+    fn cone_excludes_unrelated_conditions() {
+        // A probe loads only its own cone: encoding 100 unrelated
+        // conditions in the same memo must not grow the query's load.
+        let p = port();
+        let query = [
+            p.clone().bvmul(p.clone()).ugt(Term::bv_const(16, 7)),
+            p.ult(Term::bv_const(16, 300)),
+        ];
+        let mut inc = IncrementalSolver::new();
+        let b = SolverBudget::unlimited();
+        let load = |inc: &mut IncrementalSolver| {
+            let mut stats = SolverStats::default();
+            assert_eq!(inc.probe(&query, &b, &mut stats), SatOutcome::Sat);
+            stats.probe_clauses
+        };
+        let alone = load(&mut inc);
+        assert!(alone > 0);
+        for i in 0..100u64 {
+            let x = Term::var(format!("inc.cone{i}"), 16);
+            let other = x.clone().bvadd(x).ugt(Term::bv_const(16, i));
+            inc.probe(&[other], &b, &mut SolverStats::default());
+        }
+        assert_eq!(load(&mut inc), alone);
+    }
+
+    #[test]
+    fn budget_limits_one_probe_not_the_memo() {
+        // A hard query under a starved budget returns Unknown, a retry
+        // under the same tiny budget does real work again, and the memo
+        // still decides once unstarved.
         let xs: Vec<Term> = (0..12).map(|i| Term::var(format!("inc.h{i}"), 8)).collect();
         let mut sum = Term::bv_const(8, 0);
         for x in &xs {
             sum = sum.bvadd(x.clone().bvmul(x.clone()));
         }
-        let hard = sum.eq(Term::bv_const(8, 0x5a));
+        let hard = [sum.eq(Term::bv_const(8, 0x5a))];
         let mut inc = IncrementalSolver::new();
+        let mut stats = SolverStats::default();
         let starved = SolverBudget::conflicts(2);
-        let r = inc.probe(std::slice::from_ref(&hard), &starved);
-        assert!(matches!(r, SatOutcome::Unknown));
-        let (c0, _, _) = inc.sat_counters();
-        let r = inc.probe(std::slice::from_ref(&hard), &starved);
-        assert!(!matches!(r, SatOutcome::Unsat));
-        let (c1, _, _) = inc.sat_counters();
-        assert!(c1 > c0, "retry must get a fresh per-probe allowance");
-        assert!(matches!(
-            inc.probe(&[hard], &SolverBudget::unlimited()),
+        assert_eq!(inc.probe(&hard, &starved, &mut stats), SatOutcome::Unknown);
+        let c0 = stats.sat_conflicts;
+        assert_ne!(inc.probe(&hard, &starved, &mut stats), SatOutcome::Unsat);
+        assert!(stats.sat_conflicts > c0, "retry must get its own budget");
+        assert_eq!(
+            inc.probe(&hard, &SolverBudget::unlimited(), &mut stats),
             SatOutcome::Sat
-        ));
-    }
-
-    #[test]
-    fn bounded_context_resets_and_stays_correct() {
-        let p = port();
-        let low = p.clone().ult(Term::bv_const(16, 10));
-        let high = p.clone().ugt(Term::bv_const(16, 20));
-        let mut inc = IncrementalSolver::new();
-        inc.set_limits(8, 4);
-        let b = SolverBudget::unlimited();
-        // Sustained distinct-term traffic far past the bound: the
-        // encoding store stays capped and evictions are counted.
-        for i in 0..64u64 {
-            let t = Term::var(format!("inc.bnd{i}"), 8).eq(Term::bv_const(8, i & 0x7f));
-            assert!(matches!(inc.probe(&[t], &b), SatOutcome::Sat));
-            assert!(
-                inc.encoded_terms() <= 8,
-                "encoded-term store exceeded its bound"
-            );
-        }
-        assert!(inc.evictions() > 0, "bound crossings must be counted");
-        // Verdicts survive the resets: a contradiction still refutes.
-        assert!(matches!(inc.probe(&[low, high], &b), SatOutcome::Unsat));
-        // Around-probe counter deltas never go backwards across resets.
-        let before = inc.sat_counters();
-        let t = Term::var("inc.bnd_post", 8).eq(Term::bv_const(8, 1));
-        assert!(matches!(inc.probe(&[t], &b), SatOutcome::Sat));
-        let after = inc.sat_counters();
-        assert!(after.0 >= before.0 && after.1 >= before.1 && after.2 >= before.2);
-    }
-
-    #[test]
-    fn core_store_is_bounded() {
-        let mut inc = IncrementalSolver::new();
-        inc.set_limits(1 << 16, 4);
-        let b = SolverBudget::unlimited();
-        // Distinct contradictions, each recording a distinct core.
-        for i in 0..32u64 {
-            let x = Term::var(format!("inc.core{i}"), 8);
-            let a = x.clone().ult(Term::bv_const(8, 3));
-            let c = x.ugt(Term::bv_const(8, 9));
-            assert!(matches!(inc.probe(&[a, c], &b), SatOutcome::Unsat));
-            assert!(
-                inc.recorded_cores() <= 4,
-                "core store exceeded its bound: {}",
-                inc.recorded_cores()
-            );
-        }
-        assert!(inc.evictions() > 0);
-        // A contradiction whose core was dropped is still refuted — by
-        // search instead of a prune.
-        let x = Term::var("inc.core0", 8);
-        let a = x.clone().ult(Term::bv_const(8, 3));
-        let c = x.ugt(Term::bv_const(8, 9));
-        assert!(matches!(inc.probe(&[a, c], &b), SatOutcome::Unsat));
-    }
-
-    #[test]
-    fn subset_check_is_exact() {
-        let l = |v: u32| Lit::pos(v);
-        assert!(is_subset(&[], &[l(1), l(2)]));
-        assert!(is_subset(&[l(2)], &[l(1), l(2), l(3)]));
-        assert!(is_subset(&[l(1), l(3)], &[l(1), l(2), l(3)]));
-        assert!(!is_subset(&[l(4)], &[l(1), l(2), l(3)]));
-        assert!(!is_subset(&[l(1), l(2)], &[l(2)]));
-        assert!(!is_subset(&[l(0)], &[]));
+        );
     }
 }

@@ -86,7 +86,6 @@ const CLAUSE_NONE: u32 = u32::MAX;
 
 struct Clause {
     lits: Vec<Lit>,
-    learned: bool,
 }
 
 /// Indexed max-heap over variable activities (MiniSat's order heap).
@@ -201,32 +200,24 @@ pub struct SatSolver {
     unsat: bool,
     /// Model saved at the last `Sat` outcome (indexed by variable). Kept
     /// separate from the working assignment so the solver can backtrack to
-    /// level 0 after every query — the incremental interface adds clauses
-    /// and re-solves on the same instance — without losing the witness.
+    /// level 0 after the query without losing the witness.
     model: Vec<bool>,
-    /// UNSAT core of the last `solve_under_assumptions` call that returned
-    /// `Unsat`: the subset of the assumption literals that is jointly
-    /// inconsistent with the clause set. Empty when the clause set itself
-    /// is unsatisfiable (every assumption set fails).
-    core: Vec<Lit>,
-    /// Conflicts encountered so far (cumulative across queries).
+    /// Literal buffers of clauses dropped by [`SatSolver::reset`], reused
+    /// by [`SatSolver::add_gate_clause`] so a reused instance stops
+    /// allocating once it has seen its largest load.
+    spare: Vec<Vec<Lit>>,
+    /// Conflicts encountered since construction or the last reset.
     pub conflicts: u64,
-    /// Decisions made so far (cumulative across queries).
+    /// Decisions made since construction or the last reset.
     pub decisions: u64,
-    /// Literal propagations performed so far (cumulative across queries).
+    /// Literal propagations performed since construction or the last reset.
     pub propagations: u64,
-    /// conflict budget *per query*; `None` = unlimited
+    /// conflict budget; `None` = unlimited
     pub max_conflicts: Option<u64>,
-    /// propagation (step) budget *per query*; `None` = unlimited
+    /// propagation (step) budget; `None` = unlimited
     pub max_propagations: Option<u64>,
     /// wall-clock cutoff for the current `solve` call; `None` = unlimited
     pub deadline: Option<std::time::Instant>,
-    /// `conflicts` at the start of the current query: budgets compare the
-    /// *delta* since the query began, so a long-lived incremental instance
-    /// never charges one query's work against the next one's budget.
-    query_conflicts_base: u64,
-    /// `propagations` at the start of the current query (same delta rule).
-    query_propagations_base: u64,
 }
 
 impl Default for SatSolver {
@@ -253,16 +244,42 @@ impl SatSolver {
             saved_phase: Vec::new(),
             unsat: false,
             model: Vec::new(),
-            core: Vec::new(),
+            spare: Vec::new(),
             conflicts: 0,
             decisions: 0,
             propagations: 0,
             max_conflicts: None,
             max_propagations: None,
             deadline: None,
-            query_conflicts_base: 0,
-            query_propagations_base: 0,
         }
+    }
+
+    /// Empty the instance for a new formula while keeping its
+    /// allocations: variables, clauses, counters and budgets all restart
+    /// from zero, as in [`SatSolver::new`].
+    pub fn reset(&mut self) {
+        let used = 2 * self.assign.len();
+        for w in &mut self.watches[..used] {
+            w.clear();
+        }
+        self.spare.extend(self.clauses.drain(..).map(|c| c.lits));
+        self.assign.clear();
+        self.level.clear();
+        self.reason.clear();
+        self.trail.clear();
+        self.trail_lim.clear();
+        self.qhead = 0;
+        self.activity.clear();
+        self.var_inc = 1.0;
+        self.order.heap.clear();
+        self.order.pos.clear();
+        self.saved_phase.clear();
+        self.unsat = false;
+        self.model.clear();
+        self.reset_stats();
+        self.max_conflicts = None;
+        self.max_propagations = None;
+        self.deadline = None;
     }
 
     /// Allocate and return a fresh variable.
@@ -273,8 +290,12 @@ impl SatSolver {
         self.reason.push(CLAUSE_NONE);
         self.activity.push(0.0);
         self.saved_phase.push(false);
-        self.watches.push(Vec::new());
-        self.watches.push(Vec::new());
+        // After a reset the watch lists beyond the live variables are
+        // already empty; reuse them rather than reallocating.
+        if self.watches.len() < 2 * self.assign.len() {
+            self.watches.push(Vec::new());
+            self.watches.push(Vec::new());
+        }
         self.order.grow_to(self.assign.len());
         self.order.insert(v, &self.activity);
         v
@@ -349,17 +370,61 @@ impl SatSolver {
                 }
             }
             _ => {
-                self.attach_clause(c, false);
+                self.attach_clause(c);
                 true
             }
         }
     }
 
-    fn attach_clause(&mut self, lits: Vec<Lit>, learned: bool) -> u32 {
+    /// Add a Tseitin gate clause of two or three literals to a formula
+    /// that has not been solved yet. Unlike [`SatSolver::add_clause`] it
+    /// neither sorts nor simplifies against level-0 values, and it reuses
+    /// the literal buffers [`SatSolver::reset`] kept: the first `solve`
+    /// propagates every unit from the start of the trail, so a clause
+    /// whose watched literal is already false at level 0 is still woken.
+    /// Clauses that repeat a variable (a multiplexer whose selector is
+    /// also a data input) are deduplicated, and tautologies dropped.
+    pub fn add_gate_clause(&mut self, lits: &[Lit]) {
+        debug_assert!(self.trail_lim.is_empty() && self.qhead == 0);
+        let distinct = match *lits {
+            [a, b] => a.var() != b.var(),
+            [a, b, c] => a.var() != b.var() && a.var() != c.var() && b.var() != c.var(),
+            _ => false,
+        };
+        let mut c = self.spare.pop().unwrap_or_default();
+        c.clear();
+        c.extend_from_slice(lits);
+        if !distinct {
+            c.sort_unstable();
+            c.dedup();
+            if c.windows(2).any(|w| w[0] == w[1].negate()) {
+                self.spare.push(c);
+                return;
+            }
+            if c.len() == 1 {
+                self.add_unit(c[0]);
+                self.spare.push(c);
+                return;
+            }
+        }
+        self.attach_clause(c);
+    }
+
+    /// Assert the unit `l` for the next `solve` without propagating it
+    /// yet (see [`SatSolver::add_gate_clause`]).
+    pub fn add_unit(&mut self, l: Lit) {
+        match self.value(l) {
+            LBool::True => {}
+            LBool::False => self.unsat = true,
+            LBool::Undef => self.enqueue(l, CLAUSE_NONE),
+        }
+    }
+
+    fn attach_clause(&mut self, lits: Vec<Lit>) -> u32 {
         let idx = self.clauses.len() as u32;
         self.watches[lits[0].negate().index()].push(idx);
         self.watches[lits[1].negate().index()].push(idx);
-        self.clauses.push(Clause { lits, learned });
+        self.clauses.push(Clause { lits });
         idx
     }
 
@@ -548,45 +613,25 @@ impl SatSolver {
     }
 
     /// True once the conflict or propagation budget is spent (the
-    /// wall-clock deadline is polled separately, on a stride). Budgets are
-    /// measured as deltas against the counters snapshotted when the current
-    /// query began — cumulative comparison would let earlier queries on a
-    /// reused instance double-count against this query's budget.
+    /// wall-clock deadline is polled separately, on a stride).
     fn budget_exhausted(&self) -> bool {
         if let Some(max) = self.max_conflicts {
-            if self.conflicts - self.query_conflicts_base >= max {
+            if self.conflicts >= max {
                 return true;
             }
         }
         if let Some(max) = self.max_propagations {
-            if self.propagations - self.query_propagations_base >= max {
+            if self.propagations >= max {
                 return true;
             }
         }
         false
     }
 
-    /// Run the CDCL main loop with no assumptions.
-    pub fn solve(&mut self) -> SatOutcome {
-        self.solve_under_assumptions(&[])
-    }
-
-    /// Run the CDCL main loop with `assumptions` planted as pseudo-decisions
-    /// below every real decision (MiniSat's incremental interface).
-    ///
-    /// The clause set is untouched by the outcome: an `Unsat` here means
-    /// "unsatisfiable *under these assumptions*" and leaves the instance
-    /// usable for further queries — learned clauses, variable activities,
-    /// and saved phases all carry over. After such an `Unsat`,
-    /// [`SatSolver::last_core`] holds the subset of the assumptions the
-    /// final-conflict analysis found jointly inconsistent. The solver
-    /// backtracks to level 0 before returning, so clauses may be added
-    /// between queries; after `Sat` the witness is read through
+    /// Run the CDCL main loop. The solver backtracks to level 0 before
+    /// returning; after `Sat` the witness is read through
     /// [`SatSolver::model_value`].
-    pub fn solve_under_assumptions(&mut self, assumptions: &[Lit]) -> SatOutcome {
-        self.core.clear();
-        self.query_conflicts_base = self.conflicts;
-        self.query_propagations_base = self.propagations;
+    pub fn solve(&mut self) -> SatOutcome {
         if self.unsat {
             return SatOutcome::Unsat;
         }
@@ -595,12 +640,12 @@ impl SatSolver {
             self.unsat = true;
             return SatOutcome::Unsat;
         }
-        let out = self.search(assumptions);
+        let out = self.search();
         self.backtrack(0);
         out
     }
 
-    fn search(&mut self, assumptions: &[Lit]) -> SatOutcome {
+    fn search(&mut self) -> SatOutcome {
         let mut restart_count = 0u64;
         let mut conflicts_until_restart = 100 * Self::luby(0);
         let mut conflicts_this_restart = 0u64;
@@ -633,8 +678,9 @@ impl SatSolver {
                 if learned.len() == 1 {
                     self.enqueue(learned[0], CLAUSE_NONE);
                 } else {
-                    let ci = self.attach_clause(learned.clone(), true);
-                    self.enqueue(learned[0], ci);
+                    let asserting = learned[0];
+                    let ci = self.attach_clause(learned);
+                    self.enqueue(asserting, ci);
                 }
             } else {
                 if conflicts_this_restart >= conflicts_until_restart {
@@ -644,79 +690,12 @@ impl SatSolver {
                     self.backtrack(0);
                     continue;
                 }
-                // Re-plant any assumption not yet on the trail (restarts and
-                // backjumps cancel them) before making a real decision.
-                let mut next = None;
-                while self.trail_lim.len() < assumptions.len() {
-                    let p = assumptions[self.trail_lim.len()];
-                    match self.value(p) {
-                        // Already implied: open an empty pseudo-level so the
-                        // level count keeps tracking the assumption index.
-                        LBool::True => self.trail_lim.push(self.trail.len()),
-                        LBool::False => {
-                            self.core = self.analyze_final(p);
-                            return SatOutcome::Unsat;
-                        }
-                        LBool::Undef => {
-                            next = Some(p);
-                            break;
-                        }
-                    }
-                }
-                if let Some(p) = next {
-                    self.decisions += 1;
-                    self.trail_lim.push(self.trail.len());
-                    self.enqueue(p, CLAUSE_NONE);
-                } else if !self.decide() {
+                if !self.decide() {
                     self.save_model();
                     return SatOutcome::Sat;
                 }
             }
         }
-    }
-
-    /// Final-conflict analysis (MiniSat's `analyzeFinal`): called when
-    /// assumption `p` is falsified while being planted. Walks the
-    /// implication graph back from `!p` and collects the pseudo-decisions
-    /// — i.e. earlier assumptions — it rests on. The returned core is a
-    /// subset of the assumption set containing `p`; its conjunction is
-    /// inconsistent with the clause set.
-    fn analyze_final(&self, p: Lit) -> Vec<Lit> {
-        let mut core = vec![p];
-        if self.trail_lim.is_empty() {
-            return core;
-        }
-        let mut seen = vec![false; self.assign.len()];
-        seen[p.var() as usize] = true;
-        for i in (self.trail_lim[0]..self.trail.len()).rev() {
-            let l = self.trail[i];
-            let v = l.var() as usize;
-            if !seen[v] {
-                continue;
-            }
-            let r = self.reason[v];
-            if r == CLAUSE_NONE {
-                // A pseudo-decision: every decision on the trail at this
-                // point is a planted assumption.
-                debug_assert!(self.level[v] > 0);
-                core.push(l);
-            } else {
-                for &q in &self.clauses[r as usize].lits {
-                    if self.level[q.var() as usize] > 0 {
-                        seen[q.var() as usize] = true;
-                    }
-                }
-            }
-            seen[v] = false;
-        }
-        core
-    }
-
-    /// UNSAT core of the most recent assumption query that returned
-    /// `Unsat`: a subset of the assumption literals whose conjunction the
-    /// clause set refutes. Empty if the clause set alone is unsatisfiable.
-    pub fn last_core(&self) -> &[Lit] {
-        &self.core
     }
 
     fn save_model(&mut self) {
@@ -735,11 +714,6 @@ impl SatSolver {
         self.conflicts = 0;
         self.decisions = 0;
         self.propagations = 0;
-    }
-
-    /// Number of learned clauses currently stored.
-    pub fn num_learned(&self) -> usize {
-        self.clauses.iter().filter(|c| c.learned).count()
     }
 }
 
@@ -873,139 +847,44 @@ mod tests {
     }
 
     #[test]
-    fn assumptions_flip_verdict_without_consuming_clauses() {
-        // (x1 | x2) with assumption !x1,!x2 is Unsat; without, Sat. The
-        // instance stays reusable across queries in both directions.
+    fn reset_instance_answers_like_a_new_one() {
+        // Solve a 5-into-4 pigeonhole into its conflict budget, reset, and
+        // load (x1 | x2), (!x1), first as gate clauses and then as a unit
+        // clause with a repeated literal: the reused instance must start
+        // from zero counters and no budget, like `SatSolver::new`.
+        let p = |i: u32, j: u32| i * 4 + j;
         let mut s = SatSolver::new();
-        let c = lits(&[1, 2], &mut s);
-        s.add_clause(&c);
-        let a = Lit::neg(0);
-        let b = Lit::neg(1);
-        assert_eq!(s.solve_under_assumptions(&[a, b]), SatOutcome::Unsat);
-        let core = s.last_core().to_vec();
-        assert!(!core.is_empty() && core.iter().all(|l| *l == a || *l == b));
-        assert_eq!(s.solve(), SatOutcome::Sat);
-        assert_eq!(s.solve_under_assumptions(&[a]), SatOutcome::Sat);
-        assert!(s.model_value(1), "x2 must carry (x1|x2) under !x1");
-        assert_eq!(s.solve_under_assumptions(&[b, a]), SatOutcome::Unsat);
-    }
-
-    #[test]
-    fn final_conflict_core_is_minimal_relevant_subset() {
-        // Chain x1 -> x2 -> x3; assuming [x1, !x3, x5] fails, and the core
-        // must involve only the chain assumptions, never the free x5.
-        let mut s = SatSolver::new();
-        let c = lits(&[-1, 2], &mut s);
-        s.add_clause(&c);
-        let c = lits(&[-2, 3], &mut s);
-        s.add_clause(&c);
-        while s.num_vars() < 5 {
-            s.new_var();
-        }
-        let assumptions = [Lit::pos(0), Lit::neg(2), Lit::pos(4)];
-        assert_eq!(s.solve_under_assumptions(&assumptions), SatOutcome::Unsat);
-        let core = s.last_core();
-        assert!(core.contains(&Lit::pos(0)) || core.contains(&Lit::neg(2)));
-        assert!(
-            !core.contains(&Lit::pos(4)),
-            "irrelevant assumption leaked into the core"
-        );
-        for l in core {
-            assert!(assumptions.contains(l), "core must be over the assumptions");
-        }
-    }
-
-    #[test]
-    fn unsat_clause_set_yields_empty_core() {
-        let mut s = SatSolver::new();
-        let c1 = lits(&[1], &mut s);
-        let c2 = lits(&[-1], &mut s);
-        s.add_clause(&c1);
-        s.add_clause(&c2);
-        assert_eq!(s.solve_under_assumptions(&[Lit::pos(0)]), SatOutcome::Unsat);
-        assert!(s.last_core().is_empty(), "formula-level Unsat has no core");
-    }
-
-    #[test]
-    fn incremental_reuse_keeps_learned_clauses_and_answers() {
-        // Pigeonhole 3-into-2 behind three activation literals: assuming
-        // all three is Unsat, dropping one is Sat — on one instance.
-        let p = |i: u32, j: u32| 3 + i * 2 + j; // vars 3.. hold p_ij
-        let mut s = SatSolver::new();
-        for _ in 0..9 {
-            s.new_var();
-        }
-        let acts = [Lit::pos(0), Lit::pos(1), Lit::pos(2)];
-        for i in 0..3u32 {
-            // act_i -> (p_i0 | p_i1)
-            s.add_clause(&[
-                acts[i as usize].negate(),
-                Lit::pos(p(i, 0)),
-                Lit::pos(p(i, 1)),
-            ]);
-        }
-        for j in 0..2u32 {
-            for i1 in 0..3u32 {
-                for i2 in (i1 + 1)..3 {
-                    s.add_clause(&[Lit::neg(p(i1, j)), Lit::neg(p(i2, j))]);
-                }
-            }
-        }
-        assert_eq!(s.solve_under_assumptions(&acts), SatOutcome::Unsat);
-        let learned_after_first = s.num_learned();
-        // The core names the activation subset that clashed.
-        assert!(s.last_core().iter().all(|l| acts.contains(l)));
-        // Any two pigeons fit: every 2-subset of activations is Sat.
-        for drop in 0..3 {
-            let subset: Vec<Lit> = (0..3).filter(|&k| k != drop).map(|k| acts[k]).collect();
-            assert_eq!(s.solve_under_assumptions(&subset), SatOutcome::Sat);
-        }
-        assert!(
-            s.num_learned() >= learned_after_first,
-            "learned clauses must be retained across queries"
-        );
-        // And the full set still fails on the same instance.
-        assert_eq!(s.solve_under_assumptions(&acts), SatOutcome::Unsat);
-    }
-
-    #[test]
-    fn budget_is_per_query_delta_not_cumulative() {
-        // Burn conflicts on a hard query, then confirm a propagation-only
-        // query on the same instance still fits its own budget (the
-        // cumulative-counter bug would return Unknown before solving).
-        let act = 0u32; // var 0 gates the pigeonhole constraints
-        let p = |i: u32, j: u32| 1 + i * 4 + j;
-        let mut s = SatSolver::new();
-        for _ in 0..(1 + 5 * 4) {
+        for _ in 0..20 {
             s.new_var();
         }
         for i in 0..5u32 {
-            let mut c = vec![Lit::neg(act)];
-            c.extend((0..4).map(|j| Lit::pos(p(i, j))));
+            let c: Vec<Lit> = (0..4).map(|j| Lit::pos(p(i, j))).collect();
             s.add_clause(&c);
         }
         for j in 0..4u32 {
             for i1 in 0..5u32 {
                 for i2 in (i1 + 1)..5 {
-                    s.add_clause(&[Lit::neg(act), Lit::neg(p(i1, j)), Lit::neg(p(i2, j))]);
+                    s.add_clause(&[Lit::neg(p(i1, j)), Lit::neg(p(i2, j))]);
                 }
             }
         }
         s.max_conflicts = Some(2);
-        assert_eq!(
-            s.solve_under_assumptions(&[Lit::pos(act)]),
-            SatOutcome::Unknown,
-            "5-into-4 pigeonhole must exhaust a 2-conflict budget"
-        );
-        assert!(s.conflicts >= 2, "budget run must actually conflict");
-        // With the gate off, every clause is satisfied by !act alone: the
-        // query needs zero conflicts, so its own 2-conflict window must
-        // admit it no matter how many conflicts earlier queries spent.
-        assert_eq!(
-            s.solve_under_assumptions(&[Lit::neg(act)]),
-            SatOutcome::Sat,
-            "per-query budget must reset between queries"
-        );
+        assert_eq!(s.solve(), SatOutcome::Unknown);
+        assert!(s.conflicts >= 2);
+        s.reset();
+        assert_eq!((s.num_vars(), s.num_clauses(), s.conflicts), (0, 0, 0));
+        assert_eq!(s.max_conflicts, None);
+        let (x1, x2) = (s.new_var(), s.new_var());
+        s.add_gate_clause(&[Lit::pos(x1), Lit::pos(x2)]);
+        s.add_unit(Lit::neg(x1));
+        assert_eq!(s.solve(), SatOutcome::Sat);
+        assert!(!s.model_value(x1) && s.model_value(x2));
+        s.reset();
+        let x = s.new_var();
+        s.add_gate_clause(&[Lit::neg(x), Lit::neg(x)]);
+        s.add_gate_clause(&[Lit::pos(x), Lit::neg(x), Lit::pos(x)]);
+        s.add_unit(Lit::pos(x));
+        assert_eq!(s.solve(), SatOutcome::Unsat);
     }
 
     #[test]

@@ -62,12 +62,36 @@ pub fn mk_or_linear(terms: &[Term]) -> Term {
 
 /// Substitute every occurrence of the map's keys (which must be variables or
 /// arbitrary subterms) by their values. Sorts must match.
+///
+/// A subterm whose variable signature misses every key's is returned as
+/// is: rebuilding it through the smart constructors would give back the
+/// same interned node, since every node they intern is already in their
+/// normal form.
 pub fn substitute(t: &Term, map: &HashMap<Term, Term>) -> Term {
-    let mut memo: HashMap<Term, Term> = HashMap::new();
-    subst_rec(t, map, &mut memo)
+    subst_rec(t, map, key_signature(map), &mut HashMap::new())
 }
 
-fn subst_rec(t: &Term, map: &HashMap<Term, Term>, memo: &mut HashMap<Term, Term>) -> Term {
+/// The union of the variable signatures of `map`'s keys.
+fn key_signature(map: &HashMap<Term, Term>) -> u64 {
+    map.keys().fold(0, |sig, k| {
+        // A key without variables (a constant subterm) can occur anywhere.
+        sig | if k.var_sig() == 0 {
+            u64::MAX
+        } else {
+            k.var_sig()
+        }
+    })
+}
+
+fn subst_rec(
+    t: &Term,
+    map: &HashMap<Term, Term>,
+    keys: u64,
+    memo: &mut HashMap<Term, Term>,
+) -> Term {
+    if t.var_sig() & keys == 0 {
+        return t.clone();
+    }
     if let Some(r) = map.get(t) {
         return r.clone();
     }
@@ -77,15 +101,15 @@ fn subst_rec(t: &Term, map: &HashMap<Term, Term>, memo: &mut HashMap<Term, Term>
     let result = match t.op() {
         Op::BvConst { .. } | Op::BvVar { .. } | Op::BoolConst(_) => t.clone(),
         Op::BvUnary(op, a) => {
-            let a = subst_rec(a, map, memo);
+            let a = subst_rec(a, map, keys, memo);
             match op {
                 crate::term::BvUnaryOp::Not => a.bvnot(),
                 crate::term::BvUnaryOp::Neg => a.bvneg(),
             }
         }
         Op::BvBin(op, a, b) => {
-            let a = subst_rec(a, map, memo);
-            let b = subst_rec(b, map, memo);
+            let a = subst_rec(a, map, keys, memo);
+            let b = subst_rec(b, map, keys, memo);
             use crate::term::BvBinOp::*;
             match op {
                 And => a.bvand(b),
@@ -102,44 +126,44 @@ fn subst_rec(t: &Term, map: &HashMap<Term, Term>, memo: &mut HashMap<Term, Term>
             }
         }
         Op::BvConcat(h, l) => {
-            let h = subst_rec(h, map, memo);
-            let l = subst_rec(l, map, memo);
+            let h = subst_rec(h, map, keys, memo);
+            let l = subst_rec(l, map, keys, memo);
             h.concat(l)
         }
         Op::BvExtract { hi, lo, arg } => {
-            let a = subst_rec(arg, map, memo);
+            let a = subst_rec(arg, map, keys, memo);
             a.extract(*hi, *lo)
         }
         Op::BvIte(c, a, b) => {
-            let c = subst_rec(c, map, memo);
-            let a = subst_rec(a, map, memo);
-            let b = subst_rec(b, map, memo);
+            let c = subst_rec(c, map, keys, memo);
+            let a = subst_rec(a, map, keys, memo);
+            let b = subst_rec(b, map, keys, memo);
             Term::ite_bv(c, a, b)
         }
-        Op::Not(a) => subst_rec(a, map, memo).not(),
+        Op::Not(a) => subst_rec(a, map, keys, memo).not(),
         Op::And(a, b) => {
-            let a = subst_rec(a, map, memo);
-            let b = subst_rec(b, map, memo);
+            let a = subst_rec(a, map, keys, memo);
+            let b = subst_rec(b, map, keys, memo);
             a.and(b)
         }
         Op::Or(a, b) => {
-            let a = subst_rec(a, map, memo);
-            let b = subst_rec(b, map, memo);
+            let a = subst_rec(a, map, keys, memo);
+            let b = subst_rec(b, map, keys, memo);
             a.or(b)
         }
         Op::Implies(a, b) => {
-            let a = subst_rec(a, map, memo);
-            let b = subst_rec(b, map, memo);
+            let a = subst_rec(a, map, keys, memo);
+            let b = subst_rec(b, map, keys, memo);
             a.implies(b)
         }
         Op::Iff(a, b) => {
-            let a = subst_rec(a, map, memo);
-            let b = subst_rec(b, map, memo);
+            let a = subst_rec(a, map, keys, memo);
+            let b = subst_rec(b, map, keys, memo);
             a.iff(b)
         }
         Op::Cmp(op, a, b) => {
-            let a = subst_rec(a, map, memo);
-            let b = subst_rec(b, map, memo);
+            let a = subst_rec(a, map, keys, memo);
+            let b = subst_rec(b, map, keys, memo);
             use crate::term::CmpOp::*;
             match op {
                 Eq => a.eq(b),
@@ -218,14 +242,25 @@ pub enum Preprocessed {
 pub fn propagate_equalities(assertions: &[Term]) -> Preprocessed {
     let mut todo: Vec<Term> = assertions.iter().flat_map(conjuncts).collect();
     for _round in 0..8 {
-        // Harvest var == const bindings.
+        // Harvest var == const bindings. A variable bound to two different
+        // constants refutes the conjunction outright: substituting the first
+        // binding into the second would fold it to false anyway.
         let mut map: HashMap<Term, Term> = HashMap::new();
         for c in &todo {
             if let Op::Cmp(crate::term::CmpOp::Eq, a, b) = c.op() {
-                if a.as_var().is_some() && b.is_const() && !map.contains_key(a) {
-                    map.insert(a.clone(), b.clone());
-                } else if b.as_var().is_some() && a.is_const() && !map.contains_key(b) {
-                    map.insert(b.clone(), a.clone());
+                let (var, val) = if a.as_var().is_some() && b.is_const() {
+                    (a, b)
+                } else if b.as_var().is_some() && a.is_const() {
+                    (b, a)
+                } else {
+                    continue;
+                };
+                match map.get(var) {
+                    None => {
+                        map.insert(var.clone(), val.clone());
+                    }
+                    Some(bound) if bound != val => return Preprocessed::TriviallyFalse,
+                    Some(_) => {}
                 }
             }
         }
@@ -234,6 +269,9 @@ pub fn propagate_equalities(assertions: &[Term]) -> Preprocessed {
         }
         let mut next: Vec<Term> = Vec::with_capacity(todo.len());
         let mut changed = false;
+        // One substitution memo for the round: conjuncts share subterms.
+        let keys = key_signature(&map);
+        let mut memo: HashMap<Term, Term> = HashMap::new();
         for c in &todo {
             // Keep the binding equations themselves (they define the model).
             let is_binding = match c.op() {
@@ -245,7 +283,7 @@ pub fn propagate_equalities(assertions: &[Term]) -> Preprocessed {
             let s = if is_binding {
                 c.clone()
             } else {
-                substitute(c, &map)
+                subst_rec(c, &map, keys, &mut memo)
             };
             if s != *c {
                 changed = true;

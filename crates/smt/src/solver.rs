@@ -166,16 +166,21 @@ pub struct SolverStats {
     /// whole shared cache when one is attached, not just this solver's
     /// contributions).
     pub cache_size: u64,
-    /// Queries probed against an attached incremental context.
+    /// Queries probed against an attached incremental memo.
     pub assumption_probes: u64,
     /// Probes answered Unsat (published without a fresh solve).
     pub probe_unsat: u64,
-    /// Probes refuted by a recorded UNSAT core with no search at all.
+    /// Clauses loaded into probe instances, summed over probes: each
+    /// probe loads only its query's cone of the memo.
+    pub probe_clauses: u64,
+    /// Always 0: probes no longer record UNSAT cores. Kept so readers of
+    /// the counter keep working.
     pub core_prunes: u64,
-    /// Learned clauses retained in the incremental context across
-    /// queries (point-in-time; summed over per-worker contexts on merge).
+    /// Always 0: each probe starts from an empty SAT instance, so no
+    /// learned clause is retained across queries. Kept so readers of the
+    /// counter keep working.
     pub learned_retained: u64,
-    /// Bit-blast CNF cache hits in the incremental context (shared DAG
+    /// Bit-blast CNF cache hits in the incremental memo (shared DAG
     /// nodes encoded once instead of once per query).
     pub cnf_cache_hits: u64,
     /// Nanoseconds spent bit-blasting terms to CNF (fresh and
@@ -188,9 +193,8 @@ pub struct SolverStats {
     /// bound (whole shared cache when one is attached; gauge, max wins
     /// on merge).
     pub cache_evictions: u64,
-    /// Incremental-context entries (encoded assertions, recorded UNSAT
-    /// cores) dropped by the context's size bounds (point-in-time per
-    /// worker context; summed on merge).
+    /// Always 0: the incremental memo has no size bound to evict by.
+    /// Kept so readers of the counter keep working.
     pub context_evictions: u64,
 }
 
@@ -211,6 +215,7 @@ impl SolverStats {
         self.cache_size = self.cache_size.max(other.cache_size);
         self.assumption_probes += other.assumption_probes;
         self.probe_unsat += other.probe_unsat;
+        self.probe_clauses += other.probe_clauses;
         self.core_prunes += other.core_prunes;
         self.learned_retained += other.learned_retained;
         self.cnf_cache_hits += other.cnf_cache_hits;
@@ -427,9 +432,9 @@ pub struct Solver {
     /// each solver owns a private cache; [`Solver::with_cache`] attaches a
     /// shared one so parallel workers reuse each other's verdicts.
     cache: Arc<VerdictCache>,
-    /// Optional persistent incremental context (see
-    /// [`Solver::enable_incremental`]). When attached, every cache-missed
-    /// query is first answered as an assumption probe; only the
+    /// Optional incremental memo (see [`Solver::enable_incremental`]).
+    /// When attached, every cache-missed query the simplifier leaves open
+    /// is first probed on its cone of the memo; only the
     /// value-deterministic Unsat answer is published directly — Sat and
     /// Unknown probes fall through to the canonical fresh solve, so
     /// models and budget-limited Unknowns stay byte-identical to the
@@ -457,13 +462,11 @@ impl Solver {
         &self.cache
     }
 
-    /// Attach a persistent incremental context (idempotent).
+    /// Attach an incremental memo (idempotent).
     ///
-    /// The context amortizes bit-blasting and CDCL search across the
-    /// closely-related queries of one test: assertions encode once behind
-    /// activation literals, learned clauses and variable activities
-    /// survive between queries, and recorded UNSAT cores refute whole
-    /// families of later queries without search. Attach one context per
+    /// The memo amortizes bit-blasting across the closely-related queries
+    /// of one test: each condition encodes once, and a query's probe
+    /// loads only the gates its own conditions reach. Attach one memo per
     /// (test, worker) — its value comes from queries sharing structure.
     pub fn enable_incremental(&mut self) {
         if self.incremental.is_none() {
@@ -471,7 +474,7 @@ impl Solver {
         }
     }
 
-    /// True if an incremental context is attached.
+    /// True if an incremental memo is attached.
     pub fn incremental_enabled(&self) -> bool {
         self.incremental.is_some()
     }
@@ -503,7 +506,7 @@ impl Solver {
         result
     }
 
-    /// Probe the attached incremental context for `key`, returning
+    /// Probe the attached incremental memo for `key`, returning
     /// `Some(Unsat)` when the probe refutes the query. Sat and Unknown
     /// probe outcomes return `None` so the caller falls through to the
     /// canonical fresh solve — models and budget-limited Unknowns stay
@@ -511,12 +514,10 @@ impl Solver {
     /// value-deterministic verdict a probe may publish).
     fn probe_incremental(&mut self, key: &[Term]) -> Option<SatResult> {
         // Probes are advisory, so their search effort is capped on top of
-        // the query budget: a probe the context cannot refute quickly
+        // the query budget: a probe that cannot refute its query quickly
         // (hard Unsat, or Sat — which must re-solve fresh for a canonical
         // model anyway) aborts as Unknown and falls through, bounding the
-        // overhead per query. Cheap refutations — unit propagation over
-        // retained learned clauses, recorded-core subsumption — are the
-        // payoff and fit well under the cap.
+        // overhead per query.
         const PROBE_CONFLICT_CAP: u64 = 512;
         let inc = self.incremental.as_mut()?;
         let mut probe_budget = self.budget;
@@ -525,22 +526,7 @@ impl Solver {
                 .max_conflicts
                 .map_or(PROBE_CONFLICT_CAP, |c| c.min(PROBE_CONFLICT_CAP)),
         );
-        let (c0, d0, p0) = inc.sat_counters();
-        let (bb0, se0) = inc.timing_ns();
-        let probe = inc.probe(key, &probe_budget);
-        let (c1, d1, p1) = inc.sat_counters();
-        let (bb1, se1) = inc.timing_ns();
-        self.stats.sat_conflicts += c1 - c0;
-        self.stats.sat_decisions += d1 - d0;
-        self.stats.sat_propagations += p1 - p0;
-        self.stats.bitblast_ns += bb1 - bb0;
-        self.stats.search_ns += se1 - se0;
-        self.stats.assumption_probes = inc.probes();
-        self.stats.probe_unsat = inc.probe_unsat();
-        self.stats.core_prunes = inc.core_prunes();
-        self.stats.learned_retained = inc.learned_retained();
-        self.stats.cnf_cache_hits = inc.cnf_cache_hits();
-        self.stats.context_evictions = inc.evictions();
+        let probe = inc.probe(key, &probe_budget, &mut self.stats);
         matches!(probe, SatOutcome::Unsat).then_some(SatResult::Unsat)
     }
 
@@ -573,18 +559,18 @@ impl Solver {
             );
             return SatResult::Sat(Arc::new(model));
         }
-        // Phase 1.5: assumption-probe the incremental context, if one is
-        // attached. Only queries simplification could not decide reach
-        // this point — exactly the ones worth real search — so the probe
-        // never competes with the (much cheaper) rewriting phase. It runs
-        // on the *original* canonical conjuncts, not the residual: the
-        // activation literals must align with the group conditions shared
-        // across the test's pair matrix for UNSAT-core family pruning.
+        // Phase 1.5: probe the incremental memo, if one is attached. Only
+        // queries simplification could not decide reach this point —
+        // exactly the ones worth real search — so the probe never competes
+        // with the (much cheaper) rewriting phase. It runs on the
+        // *original* canonical conjuncts, not the residual: those are the
+        // group conditions shared across the test's pair matrix, which the
+        // memo encodes once; a residual is new terms for every query.
         if let Some(refuted) = self.probe_incremental(assertions) {
             return refuted;
         }
         // Phase 2: bit-blast and solve.
-        let mut bb = BitBlaster::new();
+        let mut bb: BitBlaster = BitBlaster::new();
         bb.sat.max_conflicts = self.budget.max_conflicts;
         bb.sat.max_propagations = self.budget.max_propagations;
         bb.sat.deadline = self.budget.time_limit.map(|d| Instant::now() + d);

@@ -158,6 +158,11 @@ pub struct TermData {
     /// and runs. It anchors the process-independent total order of
     /// [`Term::structural_cmp`].
     pub(crate) shash: u64,
+    /// Variable signature: one bit per variable occurring in the DAG
+    /// rooted here, chosen by the variable's structural hash (a 64-bit
+    /// Bloom filter). A term whose signature shares no bit with a set of
+    /// variables contains none of them.
+    pub(crate) vsig: u64,
 }
 
 /// A hash-consed term. Cheap to clone; equality and hashing are O(1).
@@ -329,7 +334,7 @@ impl Term {
         if let Some(t) = table.get(&op) {
             return t.clone();
         }
-        let dag_ops = Self::count_new_ops(&op);
+        let (dag_ops, vsig) = Self::summarize(&op, shash);
         let id = interner.next_id.fetch_add(1, Ordering::Relaxed);
         let t = Term(Arc::new(TermData {
             op: op.clone(),
@@ -337,22 +342,27 @@ impl Term {
             id,
             dag_ops,
             shash,
+            vsig,
         }));
         table.insert(op, t.clone());
         t
     }
 
-    /// Approximate DAG op count for a new node: 1 + children's counts.
+    /// Approximate DAG op count and variable signature of a new node.
     ///
-    /// This over-counts shared sub-DAGs (it is really a tree count bounded by
-    /// the DAG count), but is maintained in O(1) per node; the exact
-    /// tree-size metric the paper reports ("number of boolean operations in a
-    /// path condition") is computed by [`crate::metrics`].
-    fn count_new_ops(op: &Op) -> u64 {
-        let children: u64 = op.children().iter().map(|c| c.0.dag_ops).sum();
+    /// The op count is 1 + the children's counts. This over-counts shared
+    /// sub-DAGs (it is really a tree count bounded by the DAG count), but
+    /// is maintained in O(1) per node; the exact tree-size metric the paper
+    /// reports ("number of boolean operations in a path condition") is
+    /// computed by [`crate::metrics`]. The signature is the union of the
+    /// children's, or for a variable one bit picked by its structural hash.
+    fn summarize(op: &Op, shash: u64) -> (u64, u64) {
         match op {
-            Op::BvConst { .. } | Op::BvVar { .. } | Op::BoolConst(_) => 0,
-            _ => children.saturating_add(1),
+            Op::BvConst { .. } | Op::BoolConst(_) => (0, 0),
+            Op::BvVar { .. } => (0, 1 << (shash & 63)),
+            _ => op.children().iter().fold((1, 0), |(ops, sig), c| {
+                (ops.saturating_add(c.0.dag_ops), sig | c.0.vsig)
+            }),
         }
     }
 
@@ -379,6 +389,11 @@ impl Term {
     /// Cached upper bound on the number of operator applications.
     pub fn size_hint(&self) -> u64 {
         self.0.dag_ops
+    }
+
+    /// Variable signature of this term (see [`TermData::vsig`]).
+    pub(crate) fn var_sig(&self) -> u64 {
+        self.0.vsig
     }
 
     /// Process-independent structural hash of this term.

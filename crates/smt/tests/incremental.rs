@@ -1,15 +1,14 @@
 //! Property tests for the incremental solver core.
 //!
-//! The incremental context is a pure speed lever: assumption probes,
-//! the persistent CNF, and UNSAT-core pruning must never change a
-//! verdict a fresh solver would reach. These tests drive randomized
-//! (but seeded, so reproducible) query sequences drawn from a shared
-//! conjunct pool — the access pattern that actually exercises CNF
-//! reuse and core subsumption — and compare every answer against a
+//! The incremental memo is a pure speed lever: cone probes over the
+//! memoized CNF must never change a verdict a fresh solver would reach.
+//! These tests drive randomized (but seeded, so reproducible) query
+//! sequences drawn from a shared conjunct pool — the access pattern that
+//! actually exercises CNF reuse — and compare every answer against a
 //! throwaway [`Solver`] solving the same query from scratch.
 
 use soft_smt::sat::SatOutcome;
-use soft_smt::{IncrementalSolver, SatResult, Solver, SolverBudget, Term};
+use soft_smt::{IncrementalSolver, SatResult, Solver, SolverBudget, SolverStats, Term};
 
 const W: u32 = 8;
 const VARS: [&str; 3] = ["inc.x", "inc.y", "inc.z"];
@@ -95,9 +94,10 @@ fn probe_matches_fresh_solver_at_unlimited_budget() {
     for seed in [1u64, 0xB17B, 0xC0FFEE] {
         let (_, queries) = query_sequence(seed, 6, 40);
         let mut inc = IncrementalSolver::new();
+        let mut stats = SolverStats::default();
         let budget = SolverBudget::unlimited();
         for (q, key) in queries.iter().enumerate() {
-            let probed = inc.probe(key, &budget);
+            let probed = inc.probe(key, &budget, &mut stats);
             let fresh = Solver::new().check(key);
             match probed {
                 SatOutcome::Unsat => assert!(
@@ -113,7 +113,7 @@ fn probe_matches_fresh_solver_at_unlimited_budget() {
                 }
             }
         }
-        assert_eq!(inc.probes(), 40, "every query must be counted");
+        assert_eq!(stats.assumption_probes, 40, "every query must be counted");
     }
 }
 
@@ -126,10 +126,11 @@ fn starved_probes_never_contradict_fresh_solver() {
     for seed in [2u64, 0x5EED] {
         let (_, queries) = query_sequence(seed, 6, 30);
         let mut inc = IncrementalSolver::new();
+        let mut stats = SolverStats::default();
         let starved = SolverBudget::conflicts(1);
         let mut unknowns = 0usize;
         for (q, key) in queries.iter().enumerate() {
-            let probed = inc.probe(key, &starved);
+            let probed = inc.probe(key, &starved, &mut stats);
             match probed {
                 SatOutcome::Unknown => unknowns += 1,
                 SatOutcome::Unsat => assert!(
@@ -148,7 +149,7 @@ fn starved_probes_never_contradict_fresh_solver() {
     }
 }
 
-/// The full [`Solver`] with an incremental context enabled returns
+/// The full [`Solver`] with an incremental memo enabled returns
 /// *exactly* the same [`SatResult`] — including the model bytes — as a
 /// fresh solver, for every query in the sequence. Models stay canonical
 /// because a probe may only short-circuit Unsat; Sat always falls
@@ -171,47 +172,7 @@ fn solver_with_incremental_context_is_observationally_identical() {
     }
 }
 
-/// UNSAT-core pruning answers later queries without search, and those
-/// pruned answers are still correct. Queries are built as supersets of a
-/// known-contradictory pair, so every one is Unsat; after the first
-/// core is recorded, subsumption must start firing.
-#[test]
-fn core_pruned_answers_match_fresh_solver() {
-    let x = Term::var("inc.core", W);
-    let contra = [
-        x.clone().eq(Term::bv_const(W, 3)),
-        x.clone().eq(Term::bv_const(W, 7)),
-    ];
-    let mut rng = Rng::new(0xC04E);
-    let mut inc = IncrementalSolver::new();
-    let budget = SolverBudget::unlimited();
-    for q in 0..20 {
-        // Superset of the contradiction, padded with random conjuncts.
-        let mut key = contra.to_vec();
-        for _ in 0..rng.below(3) {
-            key.push(bool_term(&mut rng, 2));
-        }
-        assert_eq!(
-            inc.probe(&key, &budget),
-            SatOutcome::Unsat,
-            "query {q}: superset of a contradiction must stay Unsat"
-        );
-        assert!(
-            Solver::new().check(&key).is_unsat(),
-            "query {q}: oracle disagrees that the superset is Unsat"
-        );
-    }
-    assert!(
-        inc.core_prunes() > 0,
-        "20 supersets of one contradiction must hit the recorded core at least once \
-         (got {} prunes over {} probes)",
-        inc.core_prunes(),
-        inc.probes()
-    );
-    assert_eq!(inc.probe_unsat(), inc.probes(), "every probe was Unsat");
-}
-
-/// The persistent CNF is actually reused: a probe whose key embeds an
+/// The memoized CNF is actually reused: a probe whose key embeds an
 /// already-encoded term as a subterm must serve that node from the
 /// bit-blaster's cache instead of re-encoding it, and reuse must not
 /// bend any verdict.
@@ -221,26 +182,27 @@ fn cnf_encodings_are_cached_across_probes() {
     let base = x.clone().ult(Term::bv_const(W, 100));
     let derived = base.clone().and(x.clone().eq(Term::bv_const(W, 5)));
     let mut inc = IncrementalSolver::new();
+    let mut stats = SolverStats::default();
     let budget = SolverBudget::unlimited();
     assert_eq!(
-        inc.probe(std::slice::from_ref(&base), &budget),
+        inc.probe(std::slice::from_ref(&base), &budget, &mut stats),
         SatOutcome::Sat
     );
-    let before = inc.cnf_cache_hits();
+    let before = stats.cnf_cache_hits;
     // `derived` contains `base` (hash-consed to the same DAG node):
-    // encoding it in the same context must hit the persistent cache.
+    // encoding it in the same memo must hit the cache.
     assert_eq!(
-        inc.probe(std::slice::from_ref(&derived), &budget),
+        inc.probe(std::slice::from_ref(&derived), &budget, &mut stats),
         SatOutcome::Sat
     );
     assert!(
-        inc.cnf_cache_hits() > before,
+        stats.cnf_cache_hits > before,
         "shared subterm was re-encoded (cache hits stayed at {before})"
     );
-    // Re-probing an already-activated term answers through the memoized
-    // activation literal and still agrees with a fresh solve.
+    // Re-probing an already-encoded term answers from the memo alone
+    // and still agrees with a fresh solve.
     assert_eq!(
-        inc.probe(std::slice::from_ref(&base), &budget),
+        inc.probe(std::slice::from_ref(&base), &budget, &mut stats),
         SatOutcome::Sat
     );
     assert!(Solver::new().check(std::slice::from_ref(&derived)).is_sat());

@@ -4,9 +4,10 @@
 //! simplify → bit-blast → CDCL pipeline, because the oracle shares no
 //! code with the solving path (it only uses the evaluator). Formulas are
 //! generated from fixed seeds, so every run checks the same corpus. The
-//! last test runs a query *sequence* through one incremental context.
+//! last test runs a query *sequence* through one incremental memo.
 
-use soft_smt::{Assignment, SatResult, Solver, Term};
+use soft_smt::sat::SatOutcome;
+use soft_smt::{Assignment, IncrementalSolver, SatResult, Solver, SolverBudget, SolverStats, Term};
 
 const W: u32 = 4;
 
@@ -165,23 +166,37 @@ fn model_exclusion_is_consistent() {
 const SEQUENCE_QUERIES: u64 = 300;
 
 /// A few hundred conjunction queries, drawn from one seeded formula pool,
-/// through a single solver with an incremental context: every verdict
+/// through a single solver with an incremental memo: every verdict
 /// must match enumeration and every Sat model must satisfy its query.
-/// The context keeps its CNF, learned clauses and UNSAT cores across the
-/// queries, so this checks cross-query state against an oracle that
-/// shares no code with the solver.
+/// The memo keeps its CNF across the queries and each probe loads only
+/// its own cone of it, so this checks cross-query state against an
+/// oracle that shares no code with the solver. The probes are also
+/// checked on their own: since only their Unsat answers reach the
+/// solver's verdicts, a probe that wrongly answers Sat would otherwise
+/// go unseen.
 #[test]
 fn incremental_query_sequence_matches_brute_force() {
     let mut rng = Rng::new(0x0aac_2000);
     let pool: Vec<Term> = (0..64).map(|_| bool_term(&mut rng, 3)).collect();
     let mut solver = Solver::new();
     solver.enable_incremental();
+    let mut probes = IncrementalSolver::new();
     let (mut sat, mut unsat) = (0, 0);
     for q in 0..SEQUENCE_QUERIES {
         let query: Vec<Term> = (0..1 + rng.below(3))
             .map(|_| pool[rng.below(pool.len() as u64) as usize].clone())
             .collect();
         let expected = brute_force(&query.iter().cloned().reduce(Term::and).expect("non-empty"));
+        let probed = probes.probe(
+            &query,
+            &SolverBudget::unlimited(),
+            &mut SolverStats::default(),
+        );
+        assert_eq!(
+            probed == SatOutcome::Sat,
+            expected.is_some(),
+            "query {q}: probe said {probed:?}, brute force found {expected:?}"
+        );
         match solver.check(&query) {
             SatResult::Sat(m) => {
                 sat += 1;
@@ -200,8 +215,8 @@ fn incremental_query_sequence_matches_brute_force() {
             SatResult::Unknown => panic!("query {q}: unexpected Unknown without budget"),
         }
     }
-    // The sequence must exercise both verdicts, and the context must
-    // have published Unsat answers of its own.
+    // The sequence must exercise both verdicts, and the probes must
+    // have published Unsat answers of their own.
     assert!(sat > 0 && unsat > 0, "sat={sat} unsat={unsat}");
     assert!(solver.stats.probe_unsat > 0, "{:?}", solver.stats);
 }

@@ -82,7 +82,7 @@ pub struct SessionConfig {
     pub resume: bool,
     /// Fsync journal appends and artifact publishes.
     pub fsync: bool,
-    /// Give crosscheck workers persistent incremental solver contexts
+    /// Give crosscheck workers incremental CNF memos
     /// (honored only while the session budget is unlimited; artifacts
     /// are byte-identical either way).
     /// Deliberately excluded from the journal fingerprint: a journal

@@ -183,8 +183,8 @@ fn streaming_matches_phased_for_every_seed_and_jobs() {
     }
 }
 
-/// The incremental-solver equivalence gate: the persistent per-test
-/// contexts (assumption probes, CNF caching, UNSAT-core pruning) are a
+/// The incremental-solver equivalence gate: the per-test CNF memos
+/// (CNF caching, cone probes before the fresh solve) are a
 /// pure speed lever — with them on or off the session publishes
 /// byte-identical artifacts and corpora at any `--jobs`, and decides
 /// every group pair identically: same verdict, same Sat model, same

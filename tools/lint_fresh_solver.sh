@@ -2,13 +2,14 @@
 # Lint gate: forbid throwaway solver construction in the crosscheck path.
 #
 # The incremental solver core (DESIGN.md, "Incremental solving") only
-# pays off if solver state persists across the queries of one pass: a
-# worker that builds a fresh `Solver` per pair re-blasts every shared
-# group condition and throws away learned clauses and UNSAT cores after
-# each query. All solver construction in the crosscheck layer must
-# therefore go through `worker_solver` in crosscheck.rs — the one
-# audited site that wires in the shared verdict cache, the budget, and
-# the (caller-gated) incremental context. That line carries a
+# pays off if solver state persists across the queries of one pass: the
+# worker `Solver` owns the CNF memo in which each group condition is
+# bit-blasted once, so a worker that builds a fresh `Solver` per pair
+# re-blasts every shared condition for every query. All solver
+# construction in the crosscheck layer must therefore go through
+# `worker_solver` in crosscheck.rs — the one audited site that wires in
+# the shared verdict cache, the budget, and the (caller-gated)
+# incremental memo. That line carries a
 # `lint-exempt` marker; any other `Solver::new(` / `Solver::with_cache(`
 # in non-test crosscheck code is a regression to per-query throwaway
 # solving. Test code (#[cfg(test)] modules) is exempt: tests construct
