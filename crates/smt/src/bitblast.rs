@@ -100,6 +100,15 @@ pub struct BitBlaster<S: GateSink = SatSolver> {
     true_lit: Lit,
 }
 
+impl std::fmt::Debug for BitBlaster {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("BitBlaster")
+            .field("vars", &self.sat.num_vars())
+            .field("clauses", &self.sat.num_clauses())
+            .finish_non_exhaustive()
+    }
+}
+
 impl<S: GateSink> Default for BitBlaster<S> {
     fn default() -> Self {
         Self::new()
@@ -502,6 +511,20 @@ impl<S: GateSink> BitBlaster<S> {
 }
 
 impl BitBlaster {
+    /// Empty the context for a new formula, keeping the allocations of its
+    /// SAT instance and caches: afterwards it encodes exactly what
+    /// [`BitBlaster::new`] would, into the same variable numbering.
+    pub fn reset(&mut self) {
+        self.sat.reset();
+        self.bv_cache.clear();
+        self.bool_cache.clear();
+        self.var_bits.clear();
+        self.cache_hits = 0;
+        let t = self.sat.new_var();
+        self.true_lit = Lit::pos(t);
+        self.sat.unit(self.true_lit);
+    }
+
     /// Assert a boolean term as a top-level constraint.
     pub fn assert_term(&mut self, t: &Term) {
         let l = self.blast_bool(t);

@@ -202,10 +202,13 @@ pub struct SatSolver {
     /// separate from the working assignment so the solver can backtrack to
     /// level 0 after the query without losing the witness.
     model: Vec<bool>,
-    /// Literal buffers of clauses dropped by [`SatSolver::reset`], reused
-    /// by [`SatSolver::add_gate_clause`] so a reused instance stops
-    /// allocating once it has seen its largest load.
+    /// Literal buffers of clauses dropped by [`SatSolver::reset`] (and of
+    /// clauses that simplified away), reused for every clause added or
+    /// learned, so a reused instance stops allocating once it has seen
+    /// its largest load.
     spare: Vec<Vec<Lit>>,
+    /// Conflict analysis marks, all false between conflicts.
+    seen: Vec<bool>,
     /// Conflicts encountered since construction or the last reset.
     pub conflicts: u64,
     /// Decisions made since construction or the last reset.
@@ -245,6 +248,7 @@ impl SatSolver {
             unsat: false,
             model: Vec::new(),
             spare: Vec::new(),
+            seen: Vec::new(),
             conflicts: 0,
             decisions: 0,
             propagations: 0,
@@ -333,35 +337,35 @@ impl SatSolver {
 
     /// Add a clause (disjunction of literals). Must be called before `solve`
     /// at decision level 0. Returns false if the formula became trivially
-    /// unsatisfiable.
+    /// unsatisfiable. The clause is stored sorted, deduplicated and without
+    /// its literals falsified at level 0, in a buffer taken from `spare`;
+    /// a unit is propagated at once.
     pub fn add_clause(&mut self, lits: &[Lit]) -> bool {
         debug_assert!(self.trail_lim.is_empty(), "add_clause above level 0");
         if self.unsat {
             return false;
         }
-        // Deduplicate and drop satisfied/falsified-at-0 literals.
-        let mut c: Vec<Lit> = Vec::with_capacity(lits.len());
-        let mut sorted = lits.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        for i in 0..sorted.len() {
-            let l = sorted[i];
-            if i + 1 < sorted.len() && sorted[i + 1] == l.negate() {
-                return true; // tautology: contains l and !l
-            }
-            match self.value(l) {
-                LBool::True => return true, // satisfied at level 0
-                LBool::False => {}          // drop falsified literal
-                LBool::Undef => c.push(l),
-            }
+        let mut c = self.spare_copy(lits);
+        c.sort_unstable();
+        c.dedup();
+        // A tautology (l and !l sit side by side once sorted) or a clause
+        // satisfied at level 0 adds nothing.
+        if c.windows(2).any(|w| w[0] == w[1].negate())
+            || c.iter().any(|&l| self.value(l) == LBool::True)
+        {
+            self.spare.push(c);
+            return true;
         }
+        c.retain(|&l| self.value(l) == LBool::Undef);
         match c.len() {
             0 => {
+                self.spare.push(c);
                 self.unsat = true;
                 false
             }
             1 => {
                 self.enqueue(c[0], CLAUSE_NONE);
+                self.spare.push(c);
                 if self.propagate().is_some() {
                     self.unsat = true;
                     false
@@ -378,10 +382,10 @@ impl SatSolver {
 
     /// Add a Tseitin gate clause of two or three literals to a formula
     /// that has not been solved yet. Unlike [`SatSolver::add_clause`] it
-    /// neither sorts nor simplifies against level-0 values, and it reuses
-    /// the literal buffers [`SatSolver::reset`] kept: the first `solve`
-    /// propagates every unit from the start of the trail, so a clause
-    /// whose watched literal is already false at level 0 is still woken.
+    /// neither sorts nor simplifies against level-0 values: the first
+    /// `solve` propagates every unit from the start of the trail, so a
+    /// clause whose watched literal is already false at level 0 is still
+    /// woken.
     /// Clauses that repeat a variable (a multiplexer whose selector is
     /// also a data input) are deduplicated, and tautologies dropped.
     pub fn add_gate_clause(&mut self, lits: &[Lit]) {
@@ -391,9 +395,7 @@ impl SatSolver {
             [a, b, c] => a.var() != b.var() && a.var() != c.var() && b.var() != c.var(),
             _ => false,
         };
-        let mut c = self.spare.pop().unwrap_or_default();
-        c.clear();
-        c.extend_from_slice(lits);
+        let mut c = self.spare_copy(lits);
         if !distinct {
             c.sort_unstable();
             c.dedup();
@@ -418,6 +420,14 @@ impl SatSolver {
             LBool::False => self.unsat = true,
             LBool::Undef => self.enqueue(l, CLAUSE_NONE),
         }
+    }
+
+    /// `lits` copied into a recycled buffer from `spare`.
+    fn spare_copy(&mut self, lits: &[Lit]) -> Vec<Lit> {
+        let mut c = self.spare.pop().unwrap_or_default();
+        c.clear();
+        c.extend_from_slice(lits);
+        c
     }
 
     fn attach_clause(&mut self, lits: Vec<Lit>) -> u32 {
@@ -507,9 +517,12 @@ impl SatSolver {
     }
 
     /// First-UIP conflict analysis. Returns (learned clause, backjump level).
+    /// Reason clauses are read in place, and the `seen` marks are cleared
+    /// again before returning, so the buffer is reused across conflicts.
     fn analyze(&mut self, conflict: u32) -> (Vec<Lit>, u32) {
-        let mut learned: Vec<Lit> = vec![Lit(0)]; // slot for the asserting lit
-        let mut seen = vec![false; self.assign.len()];
+        let mut learned = self.spare_copy(&[Lit(0)]); // slot for the asserting lit
+        let mut seen = std::mem::take(&mut self.seen);
+        seen.resize(self.assign.len(), false);
         let mut counter = 0usize;
         let mut p: Option<Lit> = None;
         let mut idx = self.trail.len();
@@ -518,8 +531,8 @@ impl SatSolver {
 
         loop {
             let start = if p.is_none() { 0 } else { 1 };
-            let lits: Vec<Lit> = self.clauses[clause as usize].lits[start..].to_vec();
-            for q in lits {
+            for k in start..self.clauses[clause as usize].lits.len() {
+                let q = self.clauses[clause as usize].lits[k];
                 let v = q.var() as usize;
                 if !seen[v] && self.level[v] > 0 {
                     seen[v] = true;
@@ -549,6 +562,11 @@ impl SatSolver {
             debug_assert_ne!(clause, CLAUSE_NONE);
         }
         learned[0] = p.unwrap().negate();
+        // Only the lower-level literals are still marked.
+        for l in &learned[1..] {
+            seen[l.var() as usize] = false;
+        }
+        self.seen = seen;
 
         // Compute backjump level = max level among learned[1..].
         let bj = if learned.len() == 1 {
@@ -677,6 +695,7 @@ impl SatSolver {
                 self.var_inc /= 0.95; // VSIDS decay
                 if learned.len() == 1 {
                     self.enqueue(learned[0], CLAUSE_NONE);
+                    self.spare.push(learned);
                 } else {
                     let asserting = learned[0];
                     let ci = self.attach_clause(learned);
@@ -884,6 +903,40 @@ mod tests {
         s.add_gate_clause(&[Lit::neg(x), Lit::neg(x)]);
         s.add_gate_clause(&[Lit::pos(x), Lit::neg(x), Lit::pos(x)]);
         s.add_unit(Lit::pos(x));
+        assert_eq!(s.solve(), SatOutcome::Unsat);
+
+        // `add_clause` on the recycled buffers simplifies exactly as on a
+        // new instance: a unit propagates at once, a clause it satisfies
+        // and a tautology are dropped, a falsified literal is removed, and
+        // a clause left empty makes the formula Unsat.
+        fn load(s: &mut SatSolver) -> (Vec<bool>, usize, u64, SatOutcome, Vec<bool>) {
+            let (a, b, c) = (s.new_var(), s.new_var(), s.new_var());
+            let added = vec![
+                s.add_clause(&[Lit::pos(a), Lit::pos(a)]),
+                s.add_clause(&[Lit::pos(b), Lit::pos(a)]),
+                s.add_clause(&[Lit::pos(c), Lit::neg(c), Lit::pos(b)]),
+                s.add_clause(&[Lit::pos(c), Lit::neg(a), Lit::pos(b)]),
+                s.add_clause(&[Lit::neg(b)]),
+            ];
+            let loaded = (s.num_clauses(), s.propagations);
+            let out = s.solve();
+            let model = (0..3).map(|v| s.model_value(v)).collect();
+            (added, loaded.0, loaded.1, out, model)
+        }
+        s.reset();
+        let got = load(&mut s);
+        assert_eq!(got, load(&mut SatSolver::new()));
+        assert_eq!(got.0, [true; 5]);
+        assert_eq!(got.1, 1, "only (b | c) is stored");
+        assert_eq!(got.2, 3, "each unit propagates as it is added");
+        assert_eq!((got.3, got.4), (SatOutcome::Sat, vec![true, false, true]));
+        s.reset();
+        let y = s.new_var();
+        assert!(s.add_clause(&[Lit::pos(y)]));
+        assert!(!s.add_clause(&[Lit::neg(y)]), "falsified at level 0");
+        assert_eq!(s.solve(), SatOutcome::Unsat);
+        s.reset();
+        assert!(!s.add_clause(&[]));
         assert_eq!(s.solve(), SatOutcome::Unsat);
     }
 

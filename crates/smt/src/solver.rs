@@ -184,10 +184,12 @@ pub struct SolverStats {
     /// nodes encoded once instead of once per query).
     pub cnf_cache_hits: u64,
     /// Nanoseconds spent bit-blasting terms to CNF (fresh and
-    /// incremental paths combined).
+    /// incremental paths combined). On the fresh path this includes
+    /// resetting the reused instance; with no per-query teardown left,
+    /// it and `search_ns` together cover nearly all fresh-solve time.
     pub bitblast_ns: u64,
     /// Nanoseconds spent in CDCL search (fresh and incremental paths
-    /// combined).
+    /// combined); see `bitblast_ns` for the rest of a fresh solve.
     pub search_ns: u64,
     /// Verdict-cache entries evicted to stay under the cache's entry
     /// bound (whole shared cache when one is attached; gauge, max wins
@@ -440,6 +442,13 @@ pub struct Solver {
     /// models and budget-limited Unknowns stay byte-identical to the
     /// non-incremental flow.
     incremental: Option<IncrementalSolver>,
+    /// The bit-blaster and SAT instance of the fresh solve, built by the
+    /// first query that reaches it and reset for every later one rather
+    /// than rebuilt: once it has held the largest query, a fresh solve
+    /// allocates no clause storage. The reset instance encodes each query
+    /// to exactly the CNF a new one would, so verdicts and models do not
+    /// depend on the queries before it.
+    fresh: Option<BitBlaster>,
 }
 
 impl Solver {
@@ -569,12 +578,13 @@ impl Solver {
         if let Some(refuted) = self.probe_incremental(assertions) {
             return refuted;
         }
-        // Phase 2: bit-blast and solve.
-        let mut bb: BitBlaster = BitBlaster::new();
+        // Phase 2: bit-blast and solve, on the reused instance.
+        let t0 = Instant::now();
+        let bb = self.fresh.get_or_insert_with(BitBlaster::new);
+        bb.reset();
         bb.sat.max_conflicts = self.budget.max_conflicts;
         bb.sat.max_propagations = self.budget.max_propagations;
         bb.sat.deadline = self.budget.time_limit.map(|d| Instant::now() + d);
-        let t0 = Instant::now();
         for t in &residual {
             bb.assert_term(t);
         }

@@ -77,9 +77,29 @@ fn corpus_protocol(cmd: &str, corpus: &Corpus) -> Result<&'static dyn Protocol, 
     })
 }
 
+/// One synopsis line per subcommand form: the usage text, and the list of
+/// flags each subcommand accepts (see [`known_flags`]).
+const SYNOPSIS: &str = concat!(
+    "  soft tests [--protocol of10|tlv]\n",
+    "  soft run [--protocol of10|tlv] --agents <a>,<b> --test <id|all> [--out PREFIX] [--jobs N] [--seed S] [--fuzz N] [--solver-budget N] [--retry-unknown RUNGS] [--no-incremental] [--journal FILE|--no-journal] [--resume] [--no-fsync]\n",
+    "  soft phase1 --agent <reference|ovs|modified|panicky|all> --test <id|all> --out <file-or-prefix> [--jobs N] [--seed S] [--solver-budget N] [--journal FILE|--no-journal] [--resume] [--no-fsync]\n",
+    "  soft check <a.json> <b.json> [--jobs N] [--solver-budget N] [--retry-unknown RUNGS] [--journal FILE|--no-journal] [--resume] [--no-fsync]\n",
+    "  soft report <a.json> <b.json> [--replay] [--json FILE] [--store DIR] [--seed S] [--solver-budget N] [--retry-unknown RUNGS]\n",
+    "  soft distill <a.json> <b.json> --out <corpus.json> [--jobs N] [--seed S] [--fuzz N] [--solver-budget N] [--retry-unknown RUNGS] [--journal FILE|--no-journal] [--resume] [--no-fsync]\n",
+    "  soft repro <corpus.json> [--jobs N]\n",
+    "  soft regress <baseline.json> <candidate.json>\n",
+    "  soft serve --store DIR [--port N] [--jobs N] [--no-fsync]\n",
+    "  soft route --backends HOST:PORT,HOST:PORT,... [--port N] [--vnodes N] [--replicas N] [--addr-file FILE]\n",
+    "  soft fleet (--addr HOST:PORT | --addr-file FILE) [--json FILE]\n",
+    "  soft conform <corpus.json> (--addr HOST:PORT | --self-test) [--retries N] [--op-timeout-ms N] [--fault-seed S]... [--seed S] [--json FILE]\n",
+    "  soft conform-dut [--protocol of10|tlv] --agent <id> [--port N]\n",
+    "  soft submit (--addr HOST:PORT | --store DIR) [--protocol of10|tlv] --agents <a>,<b> --test <id> [--seed S] [--fuzz N] [--solver-budget N] [--retry-unknown RUNGS] [--fp-a HEX] [--fp-b HEX] [--out PREFIX] [--json FILE]\n",
+    "  soft submit (--addr HOST:PORT | --store DIR) (--status [--json FILE] | --drain)",
+);
+
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  soft tests [--protocol of10|tlv]\n  soft run [--protocol of10|tlv] --agents <a>,<b> --test <id|all> [--out PREFIX] [--jobs N] [--seed S] [--fuzz N] [--solver-budget N] [--retry-unknown RUNGS] [--no-incremental] [--journal FILE|--no-journal] [--resume] [--no-fsync]\n  soft phase1 --agent <reference|ovs|modified|panicky|all> --test <id|all> --out <file-or-prefix> [--jobs N] [--seed S] [--solver-budget N] [--journal FILE|--no-journal] [--resume] [--no-fsync]\n  soft check <a.json> <b.json> [--jobs N] [--solver-budget N] [--retry-unknown RUNGS] [--journal FILE|--no-journal] [--resume] [--no-fsync]\n  soft report <a.json> <b.json> [--replay] [--json FILE] [--seed S] [--solver-budget N] [--retry-unknown RUNGS]\n  soft distill <a.json> <b.json> --out <corpus.json> [--jobs N] [--seed S] [--fuzz N] [--solver-budget N] [--retry-unknown RUNGS] [--journal FILE|--no-journal] [--resume] [--no-fsync]\n  soft repro <corpus.json> [--jobs N]\n  soft regress <baseline.json> <candidate.json>\n  soft serve --store DIR [--port N] [--jobs N] [--no-fsync]\n  soft route --backends HOST:PORT,HOST:PORT,... [--port N] [--vnodes N] [--replicas N] [--addr-file FILE]\n  soft fleet (--addr HOST:PORT | --addr-file FILE) [--json FILE]\n  soft conform <corpus.json> (--addr HOST:PORT | --self-test) [--retries N] [--op-timeout-ms N] [--fault-seed S]... [--seed S] [--json FILE]\n  soft conform-dut [--protocol of10|tlv] --agent <id> [--port N]\n  soft submit (--addr HOST:PORT | --store DIR) [--protocol of10|tlv] --agents <a>,<b> --test <id> [--seed S] [--fuzz N] [--solver-budget N] [--retry-unknown RUNGS] [--fp-a HEX] [--fp-b HEX] [--out PREFIX] [--json FILE]\n  soft submit (--addr HOST:PORT | --store DIR) (--status [--json FILE] | --drain)\n\nserve runs a continuously-incremental audit daemon on 127.0.0.1: jobs\narrive over a framed-JSON TCP socket (the bound address is printed and\npublished at <store>/addr), shard across a bounded worker pool, and\nland in a persistent content-addressed store. Re-submitting an\nunchanged job is answered from the store with zero solver queries and\nbyte-identical artifacts; after an agent changes, the stored run seeds\na diff that re-solves only the impacted group pairs. SIGTERM drains\ngracefully (a second SIGTERM exits at once); accepted-but-unfinished\njobs recover from their journals on restart. submit sends one job (or\n--status/--drain) and exits with the usual verdict codes; report\n--json --store DIR embeds the daemon's counters.\n\nroute runs the fleet front-end on 127.0.0.1: submit speaks to it\nexactly as to a single daemon, while jobs shard over the --backends\nlist via a consistent-hash ring (--vnodes virtual nodes each). Jobs\nqueued on a saturated back-end are work-stolen to idle replicas;\npublished results are pushed to --replicas ring successors, so a\nback-end killed mid-job degrades to a re-routed solve and an\nunchanged re-audit is answered from any surviving replica. Duplicate\nsubmissions coalesce fleet-wide. fleet prints the router's topology\nand health view; --drain at the router drains every back-end.\n\nconform replays a witness corpus OVER THE WIRE, OFTest-style: it dials\nthe DUT's OpenFlow 1.0 control channel (--addr), performs the\nHELLO/FEATURES handshake with an echo keepalive, replays every witness\nbehind a sentinel barrier, and classifies the DUT per root-cause\ncluster as reference-like, ovs-like, or novel. Transport is\nfault-tolerant: per-operation deadlines, jittered-backoff retries on\nfresh connections (--retries, --op-timeout-ms), and explicit degraded\nverdicts — flaky (connected but never completed, full error chain\nrecorded) and unreachable (never connected). --self-test serves both\ncorpus agents behind loopback listeners and requires correct\nclassification of each; every --fault-seed re-runs through a\ndeterministic splitmix64 fault injector (torn frames, truncation,\nstalls, resets, reordered echoes) and requires verdicts byte-identical\nto the clean run. conform-dut serves one agent on a TCP port for\nexternal harnesses.\n\nrun drives the whole pipeline — explore, group, crosscheck, distill —\nthrough one session: both agents explore concurrently, witnesses distill\nas verdicts land, and one journal (<out>session.wal) covers everything so\n--resume continues mid-pipeline. It publishes the same artifacts the\nphased commands would (<out><agent>_<test>.json, <out>corpus_<test>.json),\nbyte-identical modulo recorded wall-clock.\n\n--solver-budget caps the SAT conflicts spent per solver query; exhausted\nqueries degrade to Unknown (reported, never misclassified).\n--retry-unknown re-solves Unknown pairs under geometrically escalated\nbudgets (x4 per rung) before reporting them unverified.\n--no-incremental disables the per-test incremental solver memos\n(CNF caching, cone probes before the fresh solve); artifacts are\nbyte-identical either way — the flag is a speed lever for comparison.\n--protocol selects the protocol under audit (default of10, the
+        "usage:\n{SYNOPSIS}\n\nserve runs a continuously-incremental audit daemon on 127.0.0.1: jobs\narrive over a framed-JSON TCP socket (the bound address is printed and\npublished at <store>/addr), shard across a bounded worker pool, and\nland in a persistent content-addressed store. Re-submitting an\nunchanged job is answered from the store with zero solver queries and\nbyte-identical artifacts; after an agent changes, the stored run seeds\na diff that re-solves only the impacted group pairs. SIGTERM drains\ngracefully (a second SIGTERM exits at once); accepted-but-unfinished\njobs recover from their journals on restart. submit sends one job (or\n--status/--drain) and exits with the usual verdict codes; report\n--json --store DIR embeds the daemon's counters.\n\nroute runs the fleet front-end on 127.0.0.1: submit speaks to it\nexactly as to a single daemon, while jobs shard over the --backends\nlist via a consistent-hash ring (--vnodes virtual nodes each). Jobs\nqueued on a saturated back-end are work-stolen to idle replicas;\npublished results are pushed to --replicas ring successors, so a\nback-end killed mid-job degrades to a re-routed solve and an\nunchanged re-audit is answered from any surviving replica. Duplicate\nsubmissions coalesce fleet-wide. fleet prints the router's topology\nand health view; --drain at the router drains every back-end.\n\nconform replays a witness corpus OVER THE WIRE, OFTest-style: it dials\nthe DUT's OpenFlow 1.0 control channel (--addr), performs the\nHELLO/FEATURES handshake with an echo keepalive, replays every witness\nbehind a sentinel barrier, and classifies the DUT per root-cause\ncluster as reference-like, ovs-like, or novel. Transport is\nfault-tolerant: per-operation deadlines, jittered-backoff retries on\nfresh connections (--retries, --op-timeout-ms), and explicit degraded\nverdicts — flaky (connected but never completed, full error chain\nrecorded) and unreachable (never connected). --self-test serves both\ncorpus agents behind loopback listeners and requires correct\nclassification of each; every --fault-seed re-runs through a\ndeterministic splitmix64 fault injector (torn frames, truncation,\nstalls, resets, reordered echoes) and requires verdicts byte-identical\nto the clean run. conform-dut serves one agent on a TCP port for\nexternal harnesses.\n\nrun drives the whole pipeline — explore, group, crosscheck, distill —\nthrough one session: both agents explore concurrently, witnesses distill\nas verdicts land, and one journal (<out>session.wal) covers everything so\n--resume continues mid-pipeline. It publishes the same artifacts the\nphased commands would (<out><agent>_<test>.json, <out>corpus_<test>.json),\nbyte-identical modulo recorded wall-clock.\n\n--solver-budget caps the SAT conflicts spent per solver query; exhausted\nqueries degrade to Unknown (reported, never misclassified).\n--retry-unknown re-solves Unknown pairs under geometrically escalated\nbudgets (x4 per rung) before reporting them unverified.\n--no-incremental disables the per-test incremental solver memos\n(CNF caching, cone probes before the fresh solve); artifacts are\nbyte-identical either way — the flag is a speed lever for comparison.\n--protocol selects the protocol under audit (default of10, the
 OpenFlow 1.0 models). tlv is a compact tag-length-value echo/handshake
 protocol with two intentionally divergent agents (strict, lenient) that
 exercises the same explore/group/crosscheck/distill kernel end to end.
@@ -585,39 +605,77 @@ fn crosscheck_artifacts(
     })
 }
 
-/// Collect non-flag arguments, skipping the values of flags that take one.
-fn positional(args: &[String]) -> Vec<&String> {
+/// The synopsis lines of subcommand `cmd`.
+fn synopsis_lines(cmd: &str) -> impl Iterator<Item = &'static str> {
+    let prefix = format!("  soft {cmd} ");
+    SYNOPSIS.lines().filter(move |l| l.starts_with(&prefix))
+}
+
+/// The flags the synopsis lines of `cmd` list, each with whether it takes
+/// a value (`--jobs N`) or stands alone (`--resume`); `None` if `cmd` has
+/// no synopsis line.
+fn known_flags(cmd: &str) -> Option<Vec<(&'static str, bool)>> {
+    let mut lines = synopsis_lines(cmd).peekable();
+    lines.peek()?;
+    let mut flags = Vec::new();
+    for line in lines {
+        let mut rest = line;
+        while let Some(at) = rest.find("--") {
+            rest = &rest[at..];
+            let end = rest
+                .find(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                .unwrap_or(rest.len());
+            let (flag, after) = rest.split_at(end);
+            let takes_value = after
+                .strip_prefix(' ')
+                .is_some_and(|v| v.starts_with(|c: char| c.is_ascii_alphanumeric() || c == '<'));
+            flags.push((flag, takes_value));
+            rest = after;
+        }
+    }
+    Some(flags)
+}
+
+/// Fail with exit 1, naming the flag, if `args` hold a `--flag` the
+/// synopsis of `cmd` does not list (a misspelt flag must not silently
+/// fall back to a default).
+fn reject_unknown_flags(cmd: &str, args: &[String]) -> Result<(), ExitCode> {
+    let Some(known) = known_flags(cmd) else {
+        return Ok(());
+    };
+    let mut i = 0;
+    while i < args.len() {
+        if args[i].starts_with("--") {
+            match known.iter().find(|(flag, _)| *flag == args[i]) {
+                Some(&(_, takes_value)) => i += takes_value as usize,
+                None => {
+                    eprintln!("{cmd}: unknown flag '{}'; usage:", args[i]);
+                    for line in synopsis_lines(cmd) {
+                        eprintln!("{line}");
+                    }
+                    return Err(ExitCode::FAILURE);
+                }
+            }
+        }
+        i += 1;
+    }
+    Ok(())
+}
+
+/// Collect the non-flag arguments of `cmd`, skipping the values of its
+/// flags that take one.
+fn positional<'a>(cmd: &str, args: &'a [String]) -> Vec<&'a String> {
+    let known = known_flags(cmd).unwrap_or_default();
     let mut out = Vec::new();
     let mut i = 0;
     while i < args.len() {
-        if args[i] == "--jobs"
-            || args[i] == "--agent"
-            || args[i] == "--agents"
-            || args[i] == "--protocol"
-            || args[i] == "--test"
-            || args[i] == "--out"
-            || args[i] == "--solver-budget"
-            || args[i] == "--retry-unknown"
-            || args[i] == "--journal"
-            || args[i] == "--seed"
-            || args[i] == "--fuzz"
-            || args[i] == "--json"
-            || args[i] == "--store"
-            || args[i] == "--port"
-            || args[i] == "--addr"
-            || args[i] == "--fp-a"
-            || args[i] == "--fp-b"
-            || args[i] == "--retries"
-            || args[i] == "--op-timeout-ms"
-            || args[i] == "--fault-seed"
-        {
-            i += 2; // flag + value
-        } else if args[i].starts_with("--") {
-            i += 1; // bare flag (e.g. --replay)
+        if args[i].starts_with("--") {
+            let takes_value = known.iter().any(|&(flag, v)| v && flag == args[i]);
+            i += takes_value as usize;
         } else {
             out.push(&args[i]);
-            i += 1;
         }
+        i += 1;
     }
     out
 }
@@ -647,7 +705,7 @@ fn cmd_check(args: &[String]) -> ExitCode {
         Err(code) => return code,
     };
     let journal = common.journal;
-    let paths = positional(args);
+    let paths = positional("check", args);
     if paths.len() != 2 {
         eprintln!("check: expected exactly two artifacts, got {}", paths.len());
         return usage();
@@ -720,6 +778,8 @@ fn solver_json(s: &soft::smt::SolverStats) -> Json {
         ("sat_conflicts".into(), Json::UInt(s.sat_conflicts)),
         ("sat_decisions".into(), Json::UInt(s.sat_decisions)),
         ("sat_propagations".into(), Json::UInt(s.sat_propagations)),
+        ("cnf_clauses".into(), Json::UInt(s.cnf_clauses)),
+        ("cnf_vars".into(), Json::UInt(s.cnf_vars)),
         ("assumption_probes".into(), Json::UInt(s.assumption_probes)),
         ("probe_unsat".into(), Json::UInt(s.probe_unsat)),
         ("probe_clauses".into(), Json::UInt(s.probe_clauses)),
@@ -781,7 +841,7 @@ fn cmd_report(args: &[String]) -> ExitCode {
         Err(code) => return code,
     };
     let seed = common.seed;
-    let paths = positional(args);
+    let paths = positional("report", args);
     if paths.len() != 2 {
         eprintln!(
             "report: expected exactly two artifacts, got {}",
@@ -997,7 +1057,7 @@ fn cmd_distill(args: &[String]) -> ExitCode {
         eprintln!("distill: missing --out");
         return usage();
     };
-    let paths = positional(args);
+    let paths = positional("distill", args);
     if paths.len() != 2 {
         eprintln!(
             "distill: expected exactly two artifacts, got {}",
@@ -1089,7 +1149,7 @@ fn cmd_repro(args: &[String]) -> ExitCode {
         Err(code) => return code,
     };
     let jobs = common.jobs;
-    let paths = positional(args);
+    let paths = positional("repro", args);
     if paths.len() != 1 {
         eprintln!(
             "repro: expected exactly one corpus file, got {}",
@@ -1238,7 +1298,7 @@ fn conform_exit(report: &ConformReport) -> ExitCode {
 }
 
 fn cmd_conform(args: &[String]) -> ExitCode {
-    let paths = positional(args);
+    let paths = positional("conform", args);
     if paths.len() != 1 {
         eprintln!(
             "conform: expected exactly one corpus file, got {}",
@@ -1412,7 +1472,7 @@ fn cmd_conform_dut(args: &[String]) -> ExitCode {
 }
 
 fn cmd_regress(args: &[String]) -> ExitCode {
-    let paths = positional(args);
+    let paths = positional("regress", args);
     if paths.len() != 2 {
         eprintln!(
             "regress: expected exactly two artifacts, got {}",
@@ -1794,6 +1854,11 @@ fn main() -> ExitCode {
     // hangs up cannot kill them.
     if !matches!(cmd, Some("serve" | "route" | "conform-dut")) {
         soft::default_sigpipe();
+    }
+    if let Some(cmd) = cmd {
+        if let Err(code) = reject_unknown_flags(cmd, &args[1..]) {
+            return code;
+        }
     }
     match cmd {
         Some("tests") => cmd_tests(&args[1..]),

@@ -45,6 +45,43 @@ fn usage_on_bad_invocation() {
 }
 
 #[test]
+fn unknown_flags_are_rejected() {
+    // `check` has no solver-path switch: the flag must fail, not be ignored.
+    let (_, stderr, code) = run(&["check", "a.json", "b.json", "--no-incremental"]);
+    assert_eq!(code, Some(1));
+    assert!(
+        stderr.contains("unknown flag '--no-incremental'"),
+        "stderr: {stderr}"
+    );
+    // A misspelt flag on `run` must not run the default solver path.
+    let dir = std::env::temp_dir().join("soft_cli_unknown_flag");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let prefix = format!("{}/", dir.display());
+    let (stdout, stderr, code) = run(&[
+        "run",
+        "--agents",
+        "reference,ovs",
+        "--test",
+        "concrete",
+        "--no-incremntal",
+        "--no-journal",
+        "--out",
+        &prefix,
+    ]);
+    assert_eq!(code, Some(1));
+    assert!(
+        stderr.contains("unknown flag '--no-incremntal'"),
+        "stderr: {stderr}"
+    );
+    assert!(stdout.is_empty(), "nothing may run: {stdout}");
+    assert!(!dir.join("corpus_concrete.json").exists());
+    // A listed flag and its value pass the check.
+    let (_, stderr, code) = run(&["tests", "--protocol", "tlv"]);
+    assert_eq!(code, Some(0), "stderr: {stderr}");
+}
+
+#[test]
 fn full_vendor_workflow() {
     let dir = std::env::temp_dir().join("soft_cli_test");
     std::fs::create_dir_all(&dir).unwrap();
@@ -80,16 +117,24 @@ fn full_vendor_workflow() {
     assert!(stdout.contains("1 inconsistencies"), "{stdout}");
 
     // report with replay validation; like check, it exits 2 on divergences.
+    let report_json = dir.join("report.json");
     let (stdout, _, code) = run(&[
         "report",
         a.to_str().unwrap(),
         b.to_str().unwrap(),
         "--replay",
+        "--json",
+        report_json.to_str().unwrap(),
     ]);
     assert_eq!(code, Some(2));
     assert!(stdout.contains("agent terminates with an error"));
     assert!(stdout.contains("repro msg0: 0114000c"));
     assert!(stdout.contains("diverges=true matches_prediction=true"));
+    // The solver section carries the fresh solves' CNF size.
+    let json = std::fs::read_to_string(&report_json).expect("report --json output");
+    for key in ["\"cnf_clauses\"", "\"cnf_vars\"", "\"sat_propagations\""] {
+        assert!(json.contains(key), "report --json lacks {key}: {json}");
+    }
 
     // An explicit (generous) solver budget decides every pair the same way.
     let (stdout, _, code) = run(&[
