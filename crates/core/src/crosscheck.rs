@@ -11,20 +11,15 @@
 //! output `i` and agent B to output `j ≠ i`.
 
 use crate::group::GroupedResults;
-use soft_harness::ObservedOutput;
+use soft_harness::{par_map, ObservedOutput};
 use soft_protocol::TraceEvent;
 use soft_smt::{Assignment, SatResult, Solver, SolverBudget, SolverStats, Term, VerdictCache};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Recover the guarded solver statistics even if a sibling worker
-/// panicked while holding the lock. The statistics are only merged
-/// commutatively, so a poisoned lock still guards usable state; the panic
-/// itself reaches the caller when the pass joins its workers.
-fn recover<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
-    lock.lock().unwrap_or_else(|e| e.into_inner())
-}
+/// Budget growth factor per retry rung: rung `n` re-solves under the base
+/// budget scaled by `RETRY_FACTOR^n`.
+pub const RETRY_FACTOR: u64 = 4;
 
 /// Condition under which two (possibly symbolic) outputs take *different
 /// concrete values*.
@@ -239,19 +234,15 @@ impl CrosscheckResult {
 pub struct CrosscheckConfig {
     /// Per-query solver resource budget (default: unlimited).
     pub solver_budget: SolverBudget,
-    /// Worker threads for the query matrix (1 = sequential).
+    /// Workers for the query matrix: the calling thread plus `jobs - 1`
+    /// scoped threads (0 counts as 1). Results are identical for any
+    /// value.
     pub jobs: usize,
     /// Budget-escalation retry rungs for Unknown verdicts: after the base
     /// pass, each still-undecided pair is re-solved up to this many times
-    /// under a geometrically growing budget (default 0 = no retries; a
-    /// no-op when the base budget is unlimited).
+    /// under a budget growing by [`RETRY_FACTOR`] per rung (default 0 = no
+    /// retries; a no-op when the base budget is unlimited).
     pub retry_rungs: u32,
-    /// Budget growth factor per retry rung (default 4).
-    pub retry_factor: u64,
-    /// Optional ceiling on the escalated conflict/propagation budgets;
-    /// the ladder stops early once the cap makes a rung no larger than
-    /// the previous attempt.
-    pub retry_cap: Option<u64>,
     /// Give each worker an incremental CNF memo (default: true). Only
     /// takes effect on passes whose budget is unlimited — probe outcomes
     /// under a finite budget could upgrade a canonical Unknown and would
@@ -268,8 +259,6 @@ impl Default for CrosscheckConfig {
             solver_budget: SolverBudget::unlimited(),
             jobs: 1,
             retry_rungs: 0,
-            retry_factor: 4,
-            retry_cap: None,
             incremental: true,
         }
     }
@@ -283,17 +272,6 @@ pub trait VerdictSink: Sync {
     /// into the two result sets; `budget` is the budget the verdict was
     /// produced under.
     fn on_verdict(&self, i: usize, j: usize, verdict: &SatResult, budget: &SolverBudget);
-
-    /// Called once per *freshly solved* verdict the moment it is
-    /// produced, from whichever worker thread solved it — delivery order
-    /// is scheduling-dependent, unlike [`VerdictSink::on_verdict`]'s
-    /// canonical pair order. This is the session's hook: eager witness
-    /// distillation starts here instead of waiting for the pass barrier.
-    /// Seeded (journal-recovered) verdicts are not re-delivered. A panic
-    /// inside the crosscheck (a solver bug) is not contained: it
-    /// propagates to the caller, and the pass delivers nothing further.
-    /// Default: no-op.
-    fn on_decided(&self, _i: usize, _j: usize, _verdict: &SatResult, _budget: &SolverBudget) {}
 }
 
 /// A closure observing [`VerdictSink::on_verdict`] is a sink, e.g. one
@@ -368,9 +346,9 @@ impl CheckSeeds {
 
 /// Crosscheck two grouped result sets.
 ///
-/// The |RES_A| × |RES_B| query matrix is embarrassingly parallel: with
-/// `cfg.jobs > 1` the pairs are fanned across worker threads, each owning a
-/// private [`Solver`] backed by a shared verdict cache, and the verdicts are
+/// The |RES_A| × |RES_B| query matrix is embarrassingly parallel: the
+/// pairs are fanned across `cfg.jobs` workers, each owning a private
+/// [`Solver`] backed by a shared verdict cache, and the verdicts are
 /// merged back in pair order — the inconsistency set (including the concrete
 /// witnesses) is identical for every job count, because solver models are
 /// pure functions of the canonicalized assertion set.
@@ -441,7 +419,7 @@ pub fn crosscheck_durable(
 
     // Base pass: everything the seeds did not settle.
     let todo: Vec<usize> = (0..pairs.len()).filter(|&k| slots[k].is_none()).collect();
-    let stats: Mutex<SolverStats> = Mutex::new(SolverStats::default());
+    let mut stats = SolverStats::default();
     solve_pass(
         a,
         b,
@@ -451,8 +429,7 @@ pub fn crosscheck_durable(
         cfg.solver_budget,
         cfg,
         &cache,
-        sink,
-        &stats,
+        &mut stats,
     );
     notify_sink(sink, &pairs, &slots, &todo);
 
@@ -461,15 +438,9 @@ pub fn crosscheck_durable(
     if !cfg.solver_budget.is_unlimited() {
         let mut last_budget = cfg.solver_budget;
         for rung in 1..=cfg.retry_rungs {
-            let mut budget = cfg
-                .solver_budget
-                .scaled(cfg.retry_factor.saturating_pow(rung));
-            if let Some(cap) = cfg.retry_cap {
-                budget.max_conflicts = budget.max_conflicts.map(|n| n.min(cap));
-                budget.max_propagations = budget.max_propagations.map(|n| n.min(cap));
-            }
-            // The cap (or saturation) made this rung no bigger than the
-            // last attempt: further rungs cannot make progress.
+            let budget = cfg.solver_budget.scaled(RETRY_FACTOR.saturating_pow(rung));
+            // Saturation made this rung no bigger than the last attempt:
+            // further rungs cannot make progress.
             if last_budget.covers(&budget) {
                 break;
             }
@@ -487,7 +458,7 @@ pub fn crosscheck_durable(
                 break;
             }
             solve_pass(
-                a, b, &pairs, &mut slots, &todo, budget, cfg, &cache, sink, &stats,
+                a, b, &pairs, &mut slots, &todo, budget, cfg, &cache, &mut stats,
             );
             notify_sink(sink, &pairs, &slots, &todo);
             last_budget = budget;
@@ -495,7 +466,7 @@ pub fn crosscheck_durable(
     }
 
     let mut out = CrosscheckResult {
-        solver: *recover(&stats),
+        solver: stats,
         ..CrosscheckResult::default()
     };
     for ((i, j, _), slot) in pairs.iter().zip(&slots) {
@@ -576,10 +547,12 @@ fn worker_solver(cache: Arc<VerdictCache>, budget: SolverBudget, incremental: bo
 }
 
 /// Solve the `todo` subset of the pair matrix under `budget`, filling the
-/// corresponding slots. Sequential for `jobs <= 1`; otherwise fanned over
-/// worker threads with verdicts written back by pair index, so the merge
-/// order is independent of scheduling. Each worker's solver statistics
-/// are merged into `stats` when its pass share completes.
+/// corresponding slots. The pairs are fanned over `cfg.jobs` workers, each
+/// with its own [`worker_solver`], and verdicts are written back by pair
+/// index, so the merge order is independent of scheduling. Each worker's
+/// solver statistics are merged into `stats` when the pass completes. A
+/// worker panic is not contained: it reaches the caller and aborts the
+/// pass.
 #[allow(clippy::too_many_arguments)] // private plumbing shared by every pass
 fn solve_pass(
     a: &GroupedResults,
@@ -590,70 +563,30 @@ fn solve_pass(
     budget: SolverBudget,
     cfg: &CrosscheckConfig,
     cache: &Arc<VerdictCache>,
-    sink: Option<&dyn VerdictSink>,
-    stats: &Mutex<SolverStats>,
+    stats: &mut SolverStats,
 ) {
     if todo.is_empty() {
         return;
     }
-    let query = |solver: &mut Solver, k: usize| {
-        let (i, j, differ) = &pairs[k];
-        let v = solver.check(&[
-            a.groups[*i].condition.clone(),
-            b.groups[*j].condition.clone(),
-            differ.clone(),
-        ]);
-        if let Some(s) = sink {
-            s.on_decided(*i, *j, &v, &budget);
-        }
-        v
-    };
-    let jobs = cfg.jobs;
-    if jobs <= 1 {
-        let mut solver = worker_solver(
-            Arc::clone(cache),
-            budget,
-            cfg.incremental && budget.is_unlimited(),
-        );
-        for &k in todo {
-            let v = query(&mut solver, k);
-            slots[k] = Some((v, budget));
-        }
-        recover(stats).merge(&solver.stats);
-        return;
-    }
-    // Every claimed index is solved by exactly one worker, so the
-    // returned verdicts cover `todo` completely. A worker panic is not
-    // contained: joining re-raises it, aborting the pass.
-    let next = AtomicUsize::new(0);
-    let solved: Vec<(usize, SatResult)> = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..jobs.min(todo.len()))
-            .map(|_| {
-                let cache = Arc::clone(cache);
-                let (next, query) = (&next, &query);
-                scope.spawn(move || {
-                    let mut solver =
-                        worker_solver(cache, budget, cfg.incremental && budget.is_unlimited());
-                    let mut mine = Vec::new();
-                    loop {
-                        let t = next.fetch_add(1, Ordering::Relaxed);
-                        if t >= todo.len() {
-                            break;
-                        }
-                        mine.push((todo[t], query(&mut solver, todo[t])));
-                    }
-                    recover(stats).merge(&solver.stats);
-                    mine
-                })
-            })
-            .collect();
-        workers
-            .into_iter()
-            .flat_map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .collect()
-    });
-    for (k, v) in solved {
+    let incremental = cfg.incremental && budget.is_unlimited();
+    let (verdicts, solvers) = par_map(
+        cfg.jobs,
+        todo,
+        || worker_solver(Arc::clone(cache), budget, incremental),
+        |solver, &k| {
+            let (i, j, differ) = &pairs[k];
+            solver.check(&[
+                a.groups[*i].condition.clone(),
+                b.groups[*j].condition.clone(),
+                differ.clone(),
+            ])
+        },
+    );
+    for (&k, v) in todo.iter().zip(verdicts) {
         slots[k] = Some((v, budget));
+    }
+    for solver in &solvers {
+        stats.merge(&solver.stats);
     }
 }
 
@@ -946,27 +879,6 @@ mod tests {
     }
 
     #[test]
-    fn retry_cap_bounds_the_ladder() {
-        let (a, b) = hard_pair();
-        let capped = crosscheck(
-            &a,
-            &b,
-            &CrosscheckConfig {
-                solver_budget: SolverBudget::conflicts(1),
-                retry_rungs: 10,
-                retry_cap: Some(2),
-                ..Default::default()
-            },
-        );
-        // Rung 1 is capped to 2 conflicts; rung 2 would also be 2, so the
-        // ladder stops instead of spinning. The pair stays honestly
-        // unverified, reported at the largest budget actually attempted.
-        assert_eq!(capped.unknown, 1);
-        assert_eq!(capped.unverified[0].budget, SolverBudget::conflicts(2));
-        assert_eq!(capped.resolved_on_retry, 0);
-    }
-
-    #[test]
     fn retry_ladder_is_a_noop_for_unlimited_budgets() {
         let (a, b) = hard_pair();
         let r = crosscheck(
@@ -982,11 +894,14 @@ mod tests {
     }
 
     #[derive(Default)]
-    struct CollectVerdicts(Mutex<Vec<(usize, usize, SatResult, SolverBudget)>>);
+    struct CollectVerdicts(std::sync::Mutex<Vec<(usize, usize, SatResult, SolverBudget)>>);
 
     impl VerdictSink for CollectVerdicts {
         fn on_verdict(&self, i: usize, j: usize, verdict: &SatResult, budget: &SolverBudget) {
-            recover(&self.0).push((i, j, verdict.clone(), *budget));
+            self.0
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .push((i, j, verdict.clone(), *budget));
         }
     }
 
@@ -1065,64 +980,6 @@ mod tests {
         assert!(matches!(s.get(0, 0), Some((SatResult::Unsat, _))));
         assert_eq!(s.len(), 1);
         assert!(!s.is_empty());
-    }
-
-    #[derive(Default)]
-    struct CountDecided(std::sync::atomic::AtomicUsize);
-
-    impl VerdictSink for CountDecided {
-        fn on_verdict(&self, _: usize, _: usize, _: &SatResult, _: &SolverBudget) {}
-        fn on_decided(&self, _: usize, _: usize, _: &SatResult, _: &SolverBudget) {
-            self.0.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    #[test]
-    fn hooks_do_not_change_results() {
-        let (a, b) = hard_pair();
-        let cfg = CrosscheckConfig {
-            solver_budget: SolverBudget::conflicts(1),
-            retry_rungs: 10,
-            ..Default::default()
-        };
-        let plain = crosscheck_durable(&a, &b, &cfg, None, None);
-        // The immediate on_decided hook may not perturb the canonical
-        // result.
-        let sink = CountDecided::default();
-        let hooked = crosscheck_durable(&a, &b, &cfg, None, Some(&sink));
-        assert_eq!(hooked.queries, plain.queries);
-        assert_eq!(hooked.unknown, plain.unknown);
-        assert_eq!(hooked.resolved_on_retry, plain.resolved_on_retry);
-        assert_eq!(hooked.inconsistencies.len(), plain.inconsistencies.len());
-        for (x, y) in plain.inconsistencies.iter().zip(&hooked.inconsistencies) {
-            assert_eq!(x.witness, y.witness);
-        }
-        // Every fresh solve fired the immediate hook: the base-pass
-        // Unknown plus each escalation attempt.
-        assert!(sink.0.load(Ordering::Relaxed) >= 2);
-    }
-
-    struct PanicOnDecided;
-
-    impl VerdictSink for PanicOnDecided {
-        fn on_verdict(&self, _: usize, _: usize, _: &SatResult, _: &SolverBudget) {}
-        fn on_decided(&self, _: usize, _: usize, _: &SatResult, _: &SolverBudget) {
-            panic!("worker fault");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "worker fault")]
-    fn parallel_worker_panic_propagates() {
-        // A panic on a crosscheck worker must reach the caller, not turn
-        // into a fabricated Unknown verdict.
-        let (a, b) = hard_pair();
-        let cfg = CrosscheckConfig {
-            solver_budget: SolverBudget::conflicts(1),
-            jobs: 2,
-            ..Default::default()
-        };
-        crosscheck_durable(&a, &b, &cfg, None, Some(&PanicOnDecided));
     }
 
     #[test]

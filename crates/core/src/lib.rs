@@ -51,7 +51,7 @@ mod soft;
 
 pub use crosscheck::{
     crosscheck, crosscheck_durable, CheckSeeds, CrosscheckConfig, CrosscheckResult, Inconsistency,
-    UnverifiedPair, VerdictSink,
+    UnverifiedPair, VerdictSink, RETRY_FACTOR,
 };
 pub use group::{
     group_paths, group_paths_with, GroupError, GroupedResults, OutputGroup, TreeShape,

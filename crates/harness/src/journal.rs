@@ -30,7 +30,7 @@ use crate::wire::EventFile;
 use soft_protocol::{normalize_trace, AgentRef};
 use soft_smt::{Assignment, SatResult, SolverBudget};
 use soft_sym::{
-    explore_fn_seeded, ExplorerConfig, PathOutcome, PathResult, PathSink, ResumeSeed, SeedPending,
+    explore_seeded, ExplorerConfig, PathOutcome, PathResult, PathSink, ResumeSeed, SeedPending,
 };
 use std::collections::{BTreeMap, HashMap};
 use std::fs;
@@ -1265,7 +1265,7 @@ pub fn run_unit_durable(
     let agent = agent.into();
     check_resumable(cfg)?;
     let seed = recovery.seed();
-    let ex = explore_fn_seeded(cfg, agent_program(agent, test), Some(&seed), Some(sink));
+    let ex = explore_seeded(cfg, agent_program(agent, test), Some(&seed), Some(sink));
     recovery.validate(&ex.paths)?;
     Ok(summarize(agent, test, ex))
 }
@@ -1682,7 +1682,7 @@ mod tests {
         assert!(rec.verdicts[0].is_empty() && rec.corpora[0].is_none());
         // Unit 0 explores through the journal; unit 1 stays untouched.
         let sink = j.unit_sink(0);
-        let ex = explore_fn_seeded(
+        let ex = explore_seeded(
             &cfg,
             agent_program(AgentKind::Reference.into(), test),
             None,

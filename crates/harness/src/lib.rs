@@ -13,6 +13,7 @@
 pub mod input;
 pub mod journal;
 pub mod json;
+mod pool;
 pub mod proto;
 pub mod recorded;
 pub mod runner;
@@ -26,6 +27,7 @@ pub use journal::{
     session_fingerprint, CorpusRec, JournalError, SessionJournal, SessionRecovery, SessionUnitSink,
     UnitRecovery, VerdictRec,
 };
+pub use pool::par_map;
 pub use proto::JobSpec;
 pub use recorded::{symbolize_frame, RecordedTrace, Symbolize};
 pub use runner::{run_matrix, run_test, ObservedOutput, PathRecord, TestRun};

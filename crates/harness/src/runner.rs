@@ -8,23 +8,13 @@
 //! are part of the observed output (externally, the TCP connection dies).
 
 use crate::input::{Input, TestCase};
+use crate::pool::par_map;
 use soft_protocol::{normalize_trace, AgentRef, TraceEvent};
 use soft_sym::{
-    explore_fn, Coverage, ExecCtx, Exploration, ExplorationStats, ExplorerConfig, PathOutcome,
-    RunEnd,
+    explore, Coverage, ExecCtx, Exploration, ExplorationStats, ExplorerConfig, PathOutcome, RunEnd,
 };
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
-
-/// Recover the guarded data even if a sibling worker panicked while
-/// holding the lock. The result vector is only written slot-wise, so a
-/// poisoned lock still guards usable state; aborting the whole matrix
-/// (what `expect` did) would lose every already-finished combination.
-fn recover<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
-    lock.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// The normalized externally-observable result of one explored path.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -101,7 +91,7 @@ impl TestRun {
 /// the exploration ran on one thread or many.
 pub fn run_test(agent: impl Into<AgentRef>, test: &TestCase, cfg: &ExplorerConfig) -> TestRun {
     let agent = agent.into();
-    let ex: Exploration<TraceEvent> = explore_fn(cfg, agent_program(agent, test));
+    let ex: Exploration<TraceEvent> = explore(cfg, agent_program(agent, test));
     summarize(agent, test, ex)
 }
 
@@ -136,7 +126,7 @@ pub(crate) fn agent_program(
 }
 
 /// Run `explore` on every (agent, test) combination — SOFT phase 1 over a
-/// whole suite — fanning the combinations across `jobs` worker threads.
+/// whole suite — fanning the combinations across `jobs` workers through [`par_map`].
 /// `explore` is typically [`run_test`], or a journaled exploration
 /// through [`crate::run_unit_durable`].
 ///
@@ -165,41 +155,16 @@ where
         .iter()
         .flat_map(|&a| tests.iter().map(move |t| (a, t)))
         .collect();
-    let run_contained = |a: AgentRef, t: &TestCase| {
-        std::panic::catch_unwind(AssertUnwindSafe(|| explore(a, t)))
-            .unwrap_or_else(|_| Ok(degraded_run(a, t)))
-    };
-    if jobs <= 1 {
-        return combos
-            .into_iter()
-            .map(|(a, t)| run_contained(a, t))
-            .collect();
-    }
-    let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<Option<Result<TestRun, E>>>> =
-        Mutex::new((0..combos.len()).map(|_| None).collect());
-    std::thread::scope(|scope| {
-        for _ in 0..jobs.min(combos.len().max(1)) {
-            scope.spawn(|| loop {
-                let k = next.fetch_add(1, Ordering::Relaxed);
-                if k >= combos.len() {
-                    break;
-                }
-                let (a, t) = combos[k];
-                let run = run_contained(a, t);
-                recover(&results)[k] = Some(run);
-            });
-        }
-    });
-    // A slot can only be `None` if its worker died outside the per-run
-    // containment (a bug in this loop itself); degrade it the same way.
-    results
-        .into_inner()
-        .unwrap_or_else(|e| e.into_inner())
-        .into_iter()
-        .zip(&combos)
-        .map(|(r, (a, t))| r.unwrap_or_else(|| Ok(degraded_run(*a, t))))
-        .collect()
+    par_map(
+        jobs,
+        &combos,
+        || (),
+        |_, &(a, t)| {
+            std::panic::catch_unwind(AssertUnwindSafe(|| explore(a, t)))
+                .unwrap_or_else(|_| Ok(degraded_run(a, t)))
+        },
+    )
+    .0
 }
 
 /// Placeholder result for a combination whose exploration engine panicked:

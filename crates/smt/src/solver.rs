@@ -459,9 +459,14 @@ impl Solver {
 
     /// Fresh solver backed by a shared verdict cache.
     pub fn with_cache(cache: Arc<VerdictCache>) -> Self {
+        // Spelled out rather than `..Solver::default()`, which would build
+        // and drop a private cache on every call (one per concrete replay).
         Solver {
+            budget: SolverBudget::default(),
+            stats: SolverStats::default(),
             cache,
-            ..Solver::default()
+            incremental: None,
+            fresh: None,
         }
     }
 

@@ -48,9 +48,9 @@ pub struct ExplorerConfig {
     pub time_limit: Option<Duration>,
     /// PRNG seed for randomized strategies.
     pub seed: u64,
-    /// Worker threads for path exploration (1 = the sequential driver).
-    /// Only [`explore_fn`] honors values above 1; exhaustive explorations
-    /// produce identical results for every worker count.
+    /// Explorer workers: the calling thread plus `workers - 1` scoped
+    /// threads (0 counts as 1). Exhaustive explorations produce identical
+    /// results for every worker count.
     pub workers: usize,
 }
 
@@ -186,14 +186,29 @@ impl<Out> Exploration<Out> {
     }
 }
 
-/// Explore every path of `program`.
+/// Explore every path of `program`, using `config.workers` workers.
 ///
 /// `program` must be deterministic: given the same branch decisions it must
 /// take the same actions. It is re-invoked once per path with a fresh
-/// context, so any agent state must be (re)constructed inside the closure.
+/// context, so any agent state must be (re)constructed inside the closure,
+/// and it must be re-invocable from several threads at once (`Fn + Sync`).
+/// Each worker owns a private [`Solver`] backed by a [`VerdictCache`]
+/// shared across the workers, pulls pending decision prefixes from a shared
+/// frontier, and re-executes the program against them. Re-execution
+/// forking makes every path run independent, so the only shared mutable
+/// state is the frontier and the result accumulators, both merged under
+/// one lock.
+///
+/// The returned paths are canonically sorted by decision prefix, so an
+/// exhaustive exploration yields an identical [`Exploration`] (paths,
+/// coverage, aggregate counters) no matter how many workers ran it.
+/// Truncated runs (`max_paths` / `time_limit`) stay deterministic only at
+/// one worker: under parallelism *which* paths get in before the limit
+/// depends on thread timing.
 pub fn explore<Out, F>(config: &ExplorerConfig, program: F) -> Exploration<Out>
 where
-    F: FnMut(&mut ExecCtx<'_, Out>) -> RunEnd,
+    Out: Send,
+    F: Fn(&mut ExecCtx<'_, Out>) -> RunEnd + Sync,
 {
     explore_seeded(config, program, None, None)
 }
@@ -246,63 +261,6 @@ fn notify_sink<Out>(sink: Option<&dyn PathSink<Out>>, replay: bool, fin: &Finish
     s.on_path(&fin.origin, &fin.result, &pending);
 }
 
-fn explore_seeded<Out, F>(
-    config: &ExplorerConfig,
-    mut program: F,
-    seed: Option<&ResumeSeed>,
-    sink: Option<&dyn PathSink<Out>>,
-) -> Exploration<Out>
-where
-    F: FnMut(&mut ExecCtx<'_, Out>) -> RunEnd,
-{
-    let start = Instant::now();
-    let deadline = config.time_limit.map(|l| start + l);
-    let mut solver = Solver::new();
-    solver.budget = config.solver_budget;
-    let mut frontier = Frontier::new(config.strategy, config.seed);
-    let mut paths: Vec<PathResult<Out>> = Vec::new();
-    let mut coverage = Coverage::new();
-    let mut stats = ExplorationStats::default();
-
-    seed_frontier(&mut frontier, seed);
-
-    while let Some(pending) = frontier.pop(&coverage) {
-        if let Some(max) = config.max_paths {
-            if paths.len() >= max {
-                stats.truncated = true;
-                break;
-            }
-        }
-        if let Some(limit) = config.time_limit {
-            if start.elapsed() > limit {
-                stats.truncated = true;
-                break;
-            }
-        }
-        let replay = pending.replay;
-        let mut ctx: ExecCtx<'_, Out> =
-            ExecCtx::new(pending.prefix, &mut solver, config.max_depth, deadline);
-        let (outcome, panicked) = run_isolated(&mut ctx, &mut program);
-        let fin = ctx.finish(outcome);
-        if panicked {
-            stats.caught_panics += 1;
-        }
-        notify_sink(sink, replay, &fin);
-        merge_finished(&mut stats, &mut coverage, &mut frontier, &mut paths, fin);
-    }
-    if !frontier.is_empty() {
-        stats.truncated = true;
-    }
-    stats.paths = paths.len();
-    stats.wall = start.elapsed();
-    stats.solver = solver.stats;
-    Exploration {
-        paths,
-        coverage,
-        stats,
-    }
-}
-
 /// Execute the program on one path, converting a Rust panic into a crash
 /// outcome (paper parity: agent crashes are observable outputs to
 /// crosscheck, not process aborts). Returns the outcome and whether it
@@ -314,9 +272,9 @@ where
 /// context is always a consistent snapshot of the path up to the panic
 /// point. The panicking re-execution is deterministic per decision
 /// prefix, so crash paths reproduce like any other path.
-fn run_isolated<Out, F>(ctx: &mut ExecCtx<'_, Out>, program: &mut F) -> (PathOutcome, bool)
+fn run_isolated<Out, F>(ctx: &mut ExecCtx<'_, Out>, program: &F) -> (PathOutcome, bool)
 where
-    F: FnMut(&mut ExecCtx<'_, Out>) -> RunEnd,
+    F: Fn(&mut ExecCtx<'_, Out>) -> RunEnd,
 {
     match std::panic::catch_unwind(AssertUnwindSafe(|| program(ctx))) {
         Ok(Ok(())) => (PathOutcome::Completed, false),
@@ -354,70 +312,34 @@ fn merge_finished<Out>(
     }
 }
 
-/// Explore every path of `program`, using `config.workers` threads.
-///
-/// Like [`explore`], but the program closure must be re-invocable from
-/// several threads at once (`Fn + Sync`): each worker owns a private
-/// [`Solver`] backed by a [`VerdictCache`] shared across the workers, pulls
-/// pending decision prefixes from a shared frontier, and re-executes the
-/// program against them. Re-execution forking makes every path run
-/// independent, so the only shared mutable state is the frontier and the
-/// result accumulators, both merged under one lock.
-///
-/// The returned paths are canonically sorted by decision prefix — for every
-/// worker count, including 1 — so an exhaustive exploration yields an
-/// identical [`Exploration`] (paths, coverage, aggregate counters) no matter
-/// how many workers ran it. Truncated runs (`max_paths` / `time_limit`) stay
-/// deterministic only sequentially: under parallelism *which* paths get in
-/// before the limit depends on thread timing.
-pub fn explore_fn<Out, F>(config: &ExplorerConfig, program: F) -> Exploration<Out>
-where
-    Out: Send,
-    F: Fn(&mut ExecCtx<'_, Out>) -> RunEnd + Sync,
-{
-    explore_fn_seeded(config, program, None, None)
-}
-
-/// [`explore_fn`] with resume support: `seed` replays journaled paths and
-/// restores the remaining frontier, `sink` observes each newly explored
-/// path (the write-ahead-journal hook). An exhaustive seeded exploration
-/// yields the same canonical [`Exploration`] as an unseeded one, for
-/// every worker count — replayed paths contribute their recorded results
-/// and fork nothing, seeded frontier prefixes explore exactly the paths
-/// the interrupted run still owed.
-pub fn explore_fn_seeded<Out, F>(
-    config: &ExplorerConfig,
-    program: F,
-    seed: Option<&ResumeSeed>,
-    sink: Option<&dyn PathSink<Out>>,
-) -> Exploration<Out>
-where
-    Out: Send,
-    F: Fn(&mut ExecCtx<'_, Out>) -> RunEnd + Sync,
-{
-    let mut ex = if config.workers <= 1 {
-        explore_seeded(config, &program, seed, sink)
-    } else {
-        explore_parallel(config, &program, seed, sink)
-    };
-    ex.paths.sort_by(|a, b| a.decisions.cmp(&b.decisions));
-    ex
-}
-
-/// Shared accumulator the parallel workers merge into.
+/// Shared accumulator the workers merge into.
 struct SharedExploration<Out> {
     frontier: Frontier,
     coverage: Coverage,
     paths: Vec<PathResult<Out>>,
     stats: ExplorationStats,
     /// Paths claimed by workers (counted at claim time so `max_paths` is
-    /// enforced before a path runs, mirroring the sequential driver).
+    /// enforced before a path runs).
     claimed: usize,
     /// Paths currently executing outside the lock; the frontier is only
     /// exhausted once it is empty *and* nothing is in flight.
     in_flight: usize,
     /// Set when a limit fires; all workers drain out.
     stop: bool,
+    /// Workers blocked on the `work_ready` condvar.
+    idle: usize,
+}
+
+impl<Out> SharedExploration<Out> {
+    /// Wake the idle workers, if any. Every waiter registers in `idle`
+    /// under the lock the caller holds, so no wake-up is lost; skipping
+    /// the notify when nobody waits keeps a one-worker exploration (e.g.
+    /// every concrete replay) free of futex syscalls.
+    fn wake_idle(&self, work_ready: &Condvar) {
+        if self.idle > 0 {
+            work_ready.notify_all();
+        }
+    }
 }
 
 /// One worker's claim/execute/merge loop. Runs until the frontier is
@@ -433,8 +355,7 @@ fn worker_loop<Out, F>(
     start: Instant,
     deadline: Option<Instant>,
 ) where
-    Out: Send,
-    F: Fn(&mut ExecCtx<'_, Out>) -> RunEnd + Sync,
+    F: Fn(&mut ExecCtx<'_, Out>) -> RunEnd,
 {
     let mut solver = Solver::with_cache(Arc::clone(cache));
     solver.budget = config.solver_budget;
@@ -460,7 +381,7 @@ fn worker_loop<Out, F>(
                     // Put the prefix back so the final
                     // frontier-drained check stays truthful.
                     state.frontier.push(pending);
-                    work_ready.notify_all();
+                    state.wake_idle(work_ready);
                     break;
                 }
                 state.claimed += 1;
@@ -470,8 +391,7 @@ fn worker_loop<Out, F>(
                 let replay = pending.replay;
                 let mut ctx: ExecCtx<'_, Out> =
                     ExecCtx::new(pending.prefix, &mut solver, config.max_depth, deadline);
-                let mut prog = |c: &mut ExecCtx<'_, Out>| program(c);
-                let (outcome, panicked) = run_isolated(&mut ctx, &mut prog);
+                let (outcome, panicked) = run_isolated(&mut ctx, program);
                 let fin = ctx.finish(outcome);
                 notify_sink(sink, replay, &fin);
 
@@ -491,23 +411,35 @@ fn worker_loop<Out, F>(
                 // New prefixes may be available, and if this was
                 // the last in-flight path the idlers must wake to
                 // notice completion.
-                work_ready.notify_all();
+                state.wake_idle(work_ready);
             }
             None => {
                 if state.in_flight == 0 {
-                    work_ready.notify_all();
+                    state.wake_idle(work_ready);
                     break;
                 }
+                state.idle += 1;
                 guard = work_ready.wait(guard).unwrap_or_else(|e| e.into_inner());
+                guard.idle -= 1;
             }
         }
     }
     guard.stats.solver.merge(&solver.stats);
 }
 
-fn explore_parallel<Out, F>(
+/// [`explore`] with resume support: `seed` replays journaled paths and
+/// restores the remaining frontier, `sink` observes each newly explored
+/// path (the write-ahead-journal hook). An exhaustive seeded exploration
+/// yields the same canonical [`Exploration`] as an unseeded one, for
+/// every worker count — replayed paths contribute their recorded results
+/// and fork nothing, seeded frontier prefixes explore exactly the paths
+/// the interrupted run still owed.
+///
+/// The calling thread is worker 0 and `config.workers - 1` scoped threads
+/// join it, so one worker runs the same loop and spawns no thread.
+pub fn explore_seeded<Out, F>(
     config: &ExplorerConfig,
-    program: &F,
+    program: F,
     seed: Option<&ResumeSeed>,
     sink: Option<&dyn PathSink<Out>>,
 ) -> Exploration<Out>
@@ -528,42 +460,48 @@ where
         claimed: 0,
         in_flight: 0,
         stop: false,
+        idle: 0,
     });
     let work_ready = Condvar::new();
-
-    std::thread::scope(|scope| {
-        for _ in 0..config.workers {
-            let cache = Arc::clone(&cache);
-            let shared = &shared;
-            let work_ready = &work_ready;
-            scope.spawn(move || {
-                // Two containment rings: `run_isolated` (inside the loop)
-                // catches *agent* panics per path, and this outer catch
-                // contains *engine* panics so one broken worker cannot
-                // strand its siblings on the condvar or leave the shared
-                // state claimed-but-never-merged.
-                let worker = AssertUnwindSafe(|| {
-                    worker_loop(
-                        config, program, shared, work_ready, &cache, sink, start, deadline,
-                    )
-                });
-                if std::panic::catch_unwind(worker).is_err() {
-                    let mut guard = recover(shared);
-                    guard.stats.engine_panics += 1;
-                    guard.stats.truncated = true;
-                    // The panicked worker may have leaked an `in_flight`
-                    // claim; `stop` makes every waiter drain out anyway.
-                    guard.stop = true;
-                    work_ready.notify_all();
-                }
-            });
+    let worker = || {
+        // Two containment rings: `run_isolated` (inside the loop) catches
+        // *agent* panics per path, and this outer catch contains *engine*
+        // panics so one broken worker cannot strand its siblings on the
+        // condvar or leave the shared state claimed-but-never-merged.
+        let run = AssertUnwindSafe(|| {
+            worker_loop(
+                config,
+                &program,
+                &shared,
+                &work_ready,
+                &cache,
+                sink,
+                start,
+                deadline,
+            )
+        });
+        if std::panic::catch_unwind(run).is_err() {
+            let mut guard = recover(&shared);
+            guard.stats.engine_panics += 1;
+            guard.stats.truncated = true;
+            // The panicked worker may have leaked an `in_flight` claim;
+            // `stop` makes every waiter drain out anyway.
+            guard.stop = true;
+            work_ready.notify_all();
         }
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..config.workers {
+            scope.spawn(worker);
+        }
+        worker();
     });
 
     let mut state = shared.into_inner().unwrap_or_else(|e| e.into_inner());
     if !state.frontier.is_empty() {
         state.stats.truncated = true;
     }
+    state.paths.sort_by(|a, b| a.decisions.cmp(&b.decisions));
     state.stats.paths = state.paths.len();
     state.stats.wall = start.elapsed();
     Exploration {
@@ -747,6 +685,22 @@ mod tests {
         // Fresh symbolic branches: is_ctrl (root) + is_small = 2.
         assert_eq!(ex.stats.fresh_branches, 2);
         assert_eq!(ex.coverage.blocks.len(), 4);
+    }
+
+    #[test]
+    fn one_worker_explores_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let ex = explore(
+            &ExplorerConfig::default(),
+            |ctx: &mut ExecCtx<'_, std::thread::ThreadId>| {
+                let x = Term::var("ct.x", 8);
+                ctx.branch("b", &x.eq(Term::bv_const(8, 1)))?;
+                ctx.emit(std::thread::current().id());
+                Ok(())
+            },
+        );
+        assert_eq!(ex.stats.paths, 2);
+        assert!(ex.paths.iter().all(|p| p.trace == vec![caller]));
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub use buf::SymBuf;
 pub use coverage::{Coverage, CoverageUniverse};
 pub use ctx::{ExecCtx, PathOutcome, PathResult, RunEnd, Stop};
 pub use explorer::{
-    explore, explore_fn, explore_fn_seeded, Exploration, ExplorationStats, ExplorerConfig,
-    PathSink, ResumeSeed, SeedPending,
+    explore, explore_seeded, Exploration, ExplorationStats, ExplorerConfig, PathSink, ResumeSeed,
+    SeedPending,
 };
 pub use strategy::Strategy;

@@ -1,5 +1,5 @@
 //! Parallel-exploration determinism: for every strategy and worker count,
-//! an exhaustive `explore_fn` run must produce an identical exploration —
+//! an exhaustive `explore` run must produce an identical exploration —
 //! same canonically-ordered paths (conditions, traces, outcomes, decision
 //! prefixes, concretized values), same coverage, same aggregate counters.
 //! Worker threads share a verdict cache and race on the frontier, so this
@@ -7,7 +7,7 @@
 //! sorted) assertion set.
 
 use soft_smt::Term;
-use soft_sym::{explore, explore_fn, ExecCtx, Exploration, ExplorerConfig, RunEnd, Stop, Strategy};
+use soft_sym::{explore, ExecCtx, Exploration, ExplorerConfig, RunEnd, Stop, Strategy};
 
 /// A toy switch agent: mixed nesting, a crash branch, and concretized
 /// outputs (the part that would diverge first if models were not
@@ -100,13 +100,13 @@ fn workers_do_not_change_results_switch_program() {
             strategy,
             ..Default::default()
         };
-        let reference = snapshot(&explore_fn(&base, switch_program));
+        let reference = snapshot(&explore(&base, switch_program));
         for workers in [2, 4] {
             let cfg = ExplorerConfig {
                 workers,
                 ..base.clone()
             };
-            let got = snapshot(&explore_fn(&cfg, switch_program));
+            let got = snapshot(&explore(&cfg, switch_program));
             assert_eq!(
                 reference, got,
                 "strategy {strategy:?} diverged with {workers} workers"
@@ -122,7 +122,7 @@ fn workers_do_not_change_results_wide_program() {
             strategy,
             ..Default::default()
         };
-        let reference = explore_fn(&base, wide_program);
+        let reference = explore(&base, wide_program);
         assert_eq!(reference.stats.paths, 16);
         let reference = snapshot(&reference);
         for workers in [2, 4] {
@@ -130,7 +130,7 @@ fn workers_do_not_change_results_wide_program() {
                 workers,
                 ..base.clone()
             };
-            let got = snapshot(&explore_fn(&cfg, wide_program));
+            let got = snapshot(&explore(&cfg, wide_program));
             assert_eq!(
                 reference, got,
                 "strategy {strategy:?} diverged with {workers} workers"
@@ -140,33 +140,13 @@ fn workers_do_not_change_results_wide_program() {
 }
 
 #[test]
-fn explore_fn_is_explore_canonically_sorted() {
-    // The parallel entry point with workers = 1 runs the sequential driver;
-    // the only difference is the canonical path order.
-    let cfg = ExplorerConfig::default();
-    let mut plain = explore(&cfg, switch_program);
-    let via_fn = explore_fn(&cfg, switch_program);
-    plain.paths.sort_by(|a, b| a.decisions.cmp(&b.decisions));
-    assert_eq!(snapshot(&plain), snapshot(&via_fn));
-    // The ns timers are wall-clock, not results — zero them before
-    // demanding identical solver statistics.
-    let mut plain_solver = plain.stats.solver;
-    let mut via_fn_solver = via_fn.stats.solver;
-    plain_solver.bitblast_ns = 0;
-    plain_solver.search_ns = 0;
-    via_fn_solver.bitblast_ns = 0;
-    via_fn_solver.search_ns = 0;
-    assert_eq!(plain_solver, via_fn_solver);
-}
-
-#[test]
 fn parallel_max_paths_still_truncates() {
     let cfg = ExplorerConfig {
         max_paths: Some(3),
         workers: 4,
         ..Default::default()
     };
-    let ex = explore_fn(&cfg, wide_program);
+    let ex = explore(&cfg, wide_program);
     assert!(ex.stats.truncated);
     assert!(ex.stats.paths >= 3, "got {} paths", ex.stats.paths);
 }
@@ -191,7 +171,7 @@ fn parallel_time_limit_fires_mid_path() {
         workers: 2,
         ..Default::default()
     };
-    let ex = explore_fn(&cfg, sleepy_program);
+    let ex = explore(&cfg, sleepy_program);
     assert!(ex.stats.truncated);
     assert_eq!(ex.stats.completed, 0);
     assert!(

@@ -7,7 +7,7 @@
 
 use soft_smt::Term;
 use soft_sym::{
-    explore_fn, explore_fn_seeded, ExecCtx, Exploration, ExplorerConfig, PathOutcome, PathResult,
+    explore, explore_seeded, ExecCtx, Exploration, ExplorerConfig, PathOutcome, PathResult,
     PathSink, ResumeSeed, RunEnd, SeedPending, Stop,
 };
 use std::collections::BTreeMap;
@@ -107,7 +107,7 @@ fn fingerprint(ex: &Exploration<String>) -> Vec<(Vec<bool>, Vec<String>, bool)> 
 
 fn explore_with_sink(cfg: &ExplorerConfig) -> (Exploration<String>, Vec<Record>) {
     let sink = Collect::default();
-    let ex = explore_fn_seeded(cfg, agent, None, Some(&sink));
+    let ex = explore_seeded(cfg, agent, None, Some(&sink));
     let records = sink.0.into_inner().unwrap_or_else(|e| e.into_inner());
     (ex, records)
 }
@@ -120,7 +120,7 @@ fn full_replay_reexplores_nothing() {
 
     let seed = seed_from(&records);
     assert!(seed.frontier.is_empty(), "a complete journal owes no paths");
-    let resumed = explore_fn_seeded(&cfg, agent, Some(&seed), None);
+    let resumed = explore_seeded(&cfg, agent, Some(&seed), None);
     assert_eq!(fingerprint(&reference), fingerprint(&resumed));
     assert_eq!(
         resumed.stats.fresh_branches, 0,
@@ -139,7 +139,7 @@ fn partial_journal_resumes_to_identical_exploration() {
     // Cut the journal at every possible interruption point.
     for cut in 0..=records.len() {
         let seed = seed_from(&records[..cut]);
-        let resumed = explore_fn_seeded(&cfg, agent, Some(&seed), None);
+        let resumed = explore_seeded(&cfg, agent, Some(&seed), None);
         assert_eq!(
             fingerprint(&reference),
             fingerprint(&resumed),
@@ -160,7 +160,7 @@ fn resumed_exploration_is_worker_count_independent() {
             workers,
             ..ExplorerConfig::default()
         };
-        let resumed = explore_fn_seeded(&cfg_n, agent, Some(&seed), None);
+        let resumed = explore_seeded(&cfg_n, agent, Some(&seed), None);
         assert_eq!(
             fingerprint(&reference),
             fingerprint(&resumed),
@@ -177,7 +177,7 @@ fn sink_fires_once_per_new_path_on_resume() {
     let cut = records.len() / 2;
     let seed = seed_from(&records[..cut]);
     let resume_sink = Collect::default();
-    let resumed = explore_fn_seeded(&cfg, agent, Some(&seed), Some(&resume_sink));
+    let resumed = explore_seeded(&cfg, agent, Some(&seed), Some(&resume_sink));
     let new_records = resume_sink
         .0
         .into_inner()
@@ -196,9 +196,9 @@ fn sink_fires_once_per_new_path_on_resume() {
 }
 
 #[test]
-fn unseeded_explore_fn_matches_seeded_with_empty_seed() {
+fn unseeded_explore_matches_seeded_with_empty_seed() {
     let cfg = ExplorerConfig::default();
-    let plain = explore_fn(&cfg, agent);
-    let seeded = explore_fn_seeded(&cfg, agent, Some(&ResumeSeed::default()), None);
+    let plain = explore(&cfg, agent);
+    let seeded = explore_seeded(&cfg, agent, Some(&ResumeSeed::default()), None);
     assert_eq!(fingerprint(&plain), fingerprint(&seeded));
 }

@@ -29,13 +29,12 @@
 use crate::corpus::{ConcreteInput, Corpus, CorpusEntry, Origin, Status};
 use crate::fuzz::mutate;
 use crate::minimize::{free_positions, minimize, residual_bytes};
-use crate::pool::par_map;
 use crate::rng::{stream_seed, SplitMix64};
 use soft_core::{
     classify_outputs, concretize_inputs, run_concrete, signature, CrosscheckResult, GroupedResults,
     Inconsistency,
 };
-use soft_harness::{Input, ObservedOutput, TestCase};
+use soft_harness::{par_map, Input, ObservedOutput, TestCase};
 use soft_protocol::{AgentRef, Protocol};
 use soft_smt::complete_model;
 
@@ -147,9 +146,9 @@ fn evaluate(
 /// One witness through stages 1–4 (model completion, wire validation,
 /// replay confirmation, minimization), before clustering. `outcome` is
 /// the replayed output pair for confirmed witnesses, or the refusal
-/// reason. A draft is a pure function of its inputs, so the streaming
-/// session computes drafts eagerly as Sat verdicts arrive and hands them
-/// to [`assemble`] later — byte-identical to batch [`distill`].
+/// reason. A draft is a pure function of its inputs, so a caller may
+/// compute drafts itself (e.g. to time them) and hand them to
+/// [`assemble`] — byte-identical to batch [`distill`].
 pub struct WitnessDraft {
     inputs: Vec<ConcreteInput>,
     outcome: Result<(ObservedOutput, ObservedOutput), String>,
@@ -360,9 +359,8 @@ pub fn distill(
 
 /// Stages 5–6 plus corpus assembly over a mix of precomputed and missing
 /// drafts. `drafts[k]`, when present, must be the output of
-/// [`draft_witness`] for `result.inconsistencies[k]` — the streaming
-/// session supplies drafts it computed eagerly while verdicts arrived;
-/// `None` slots are drafted here (in parallel over `cfg.jobs`). The
+/// [`draft_witness`] for `result.inconsistencies[k]`, computed by the
+/// caller; `None` slots are drafted here (in parallel over `cfg.jobs`). The
 /// result is byte-identical however the drafts are split between the two
 /// sources.
 #[allow(clippy::too_many_arguments)]
@@ -384,9 +382,12 @@ pub fn assemble(
     );
     // Stages 1–4 for the missing slots, parallel per witness.
     let missing: Vec<usize> = (0..drafts.len()).filter(|&k| drafts[k].is_none()).collect();
-    let fresh: Vec<WitnessDraft> = par_map(cfg.jobs, &missing, |_, &k| {
-        draft_witness(test, &result.inconsistencies[k], grouped_a, grouped_b, a, b)
-    });
+    let (fresh, _) = par_map(
+        cfg.jobs,
+        &missing,
+        || (),
+        |_, &k| draft_witness(test, &result.inconsistencies[k], grouped_a, grouped_b, a, b),
+    );
     let mut slots = drafts;
     for (k, d) in missing.into_iter().zip(fresh) {
         slots[k] = Some(d);
@@ -407,12 +408,17 @@ pub fn assemble(
     let parents: Vec<usize> = (0..drafts.len())
         .filter(|&i| drafts[i].inner.outcome.is_ok())
         .collect();
-    let fuzz_results: Vec<Vec<Draft>> = par_map(cfg.jobs, &parents, |_, &p| {
-        let Origin::Distilled { inconsistency } = drafts[p].origin else {
-            unreachable!("parents are distilled drafts");
-        };
-        fuzz_one(inconsistency, &drafts[p].inner.inputs, &free, a, b, cfg)
-    });
+    let (fuzz_results, _) = par_map(
+        cfg.jobs,
+        &parents,
+        || (),
+        |_, &p| {
+            let Origin::Distilled { inconsistency } = drafts[p].origin else {
+                unreachable!("parents are distilled drafts");
+            };
+            fuzz_one(inconsistency, &drafts[p].inner.inputs, &free, a, b, cfg)
+        },
+    );
 
     // Stage 5 + assembly, sequential and order-deterministic: distilled
     // entries first (inconsistency order), then fuzz mutants (parent,
@@ -522,28 +528,35 @@ pub fn reproduce_corpus(
 ) -> Vec<(usize, Result<(), String>)> {
     let (a, b) = (a.into(), b.into());
     let confirmed = corpus.confirmed();
-    let outcomes = par_map(jobs, &confirmed, |_, &i| {
-        let entry = &corpus.entries[i];
-        if !wire_valid(a.protocol, &entry.inputs) {
-            return Err(format!(
-                "entry is not valid {} wire format",
-                a.protocol.wire_name()
-            ));
-        }
-        let concrete: Vec<Input> = entry.inputs.iter().map(|inp| inp.to_input()).collect();
-        let oa = run_concrete(a, &concrete).map_err(|e| format!("replay of {}: {e}", a.id()))?;
-        let ob = run_concrete(b, &concrete).map_err(|e| format!("replay of {}: {e}", b.id()))?;
-        if oa == ob {
-            return Err("traces no longer diverge".to_string());
-        }
-        let sig = format!("{} / {}", signature(&oa), signature(&ob));
-        if sig != entry.signature {
-            return Err(format!(
-                "divergence signature changed: recorded '{}', replayed '{sig}'",
-                entry.signature
-            ));
-        }
-        Ok(())
-    });
+    let (outcomes, _) = par_map(
+        jobs,
+        &confirmed,
+        || (),
+        |_, &i| {
+            let entry = &corpus.entries[i];
+            if !wire_valid(a.protocol, &entry.inputs) {
+                return Err(format!(
+                    "entry is not valid {} wire format",
+                    a.protocol.wire_name()
+                ));
+            }
+            let concrete: Vec<Input> = entry.inputs.iter().map(|inp| inp.to_input()).collect();
+            let oa =
+                run_concrete(a, &concrete).map_err(|e| format!("replay of {}: {e}", a.id()))?;
+            let ob =
+                run_concrete(b, &concrete).map_err(|e| format!("replay of {}: {e}", b.id()))?;
+            if oa == ob {
+                return Err("traces no longer diverge".to_string());
+            }
+            let sig = format!("{} / {}", signature(&oa), signature(&ob));
+            if sig != entry.signature {
+                return Err(format!(
+                    "divergence signature changed: recorded '{}', replayed '{sig}'",
+                    entry.signature
+                ));
+            }
+            Ok(())
+        },
+    );
     confirmed.into_iter().zip(outcomes).collect()
 }

@@ -36,7 +36,6 @@ pub mod corpus;
 pub mod distill;
 pub mod fuzz;
 pub mod minimize;
-mod pool;
 pub mod rng;
 
 pub use corpus::{

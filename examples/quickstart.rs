@@ -65,7 +65,7 @@ fn agent2(ctx: &mut ExecCtx<'_, TraceEvent>) -> RunEnd {
 
 fn paths_of<F>(program: F) -> Vec<PathRecord>
 where
-    F: FnMut(&mut ExecCtx<'_, TraceEvent>) -> RunEnd,
+    F: Fn(&mut ExecCtx<'_, TraceEvent>) -> RunEnd + Sync,
 {
     let ex = explore(&ExplorerConfig::default(), program);
     ex.effective_paths()

@@ -99,7 +99,7 @@ const SYNOPSIS: &str = concat!(
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n{SYNOPSIS}\n\nserve runs a continuously-incremental audit daemon on 127.0.0.1: jobs\narrive over a framed-JSON TCP socket (the bound address is printed and\npublished at <store>/addr), shard across a bounded worker pool, and\nland in a persistent content-addressed store. Re-submitting an\nunchanged job is answered from the store with zero solver queries and\nbyte-identical artifacts; after an agent changes, the stored run seeds\na diff that re-solves only the impacted group pairs. SIGTERM drains\ngracefully (a second SIGTERM exits at once); accepted-but-unfinished\njobs recover from their journals on restart. submit sends one job (or\n--status/--drain) and exits with the usual verdict codes; report\n--json --store DIR embeds the daemon's counters.\n\nroute runs the fleet front-end on 127.0.0.1: submit speaks to it\nexactly as to a single daemon, while jobs shard over the --backends\nlist via a consistent-hash ring (--vnodes virtual nodes each). Jobs\nqueued on a saturated back-end are work-stolen to idle replicas;\npublished results are pushed to --replicas ring successors, so a\nback-end killed mid-job degrades to a re-routed solve and an\nunchanged re-audit is answered from any surviving replica. Duplicate\nsubmissions coalesce fleet-wide. fleet prints the router's topology\nand health view; --drain at the router drains every back-end.\n\nconform replays a witness corpus OVER THE WIRE, OFTest-style: it dials\nthe DUT's OpenFlow 1.0 control channel (--addr), performs the\nHELLO/FEATURES handshake with an echo keepalive, replays every witness\nbehind a sentinel barrier, and classifies the DUT per root-cause\ncluster as reference-like, ovs-like, or novel. Transport is\nfault-tolerant: per-operation deadlines, jittered-backoff retries on\nfresh connections (--retries, --op-timeout-ms), and explicit degraded\nverdicts — flaky (connected but never completed, full error chain\nrecorded) and unreachable (never connected). --self-test serves both\ncorpus agents behind loopback listeners and requires correct\nclassification of each; every --fault-seed re-runs through a\ndeterministic splitmix64 fault injector (torn frames, truncation,\nstalls, resets, reordered echoes) and requires verdicts byte-identical\nto the clean run. conform-dut serves one agent on a TCP port for\nexternal harnesses.\n\nrun drives the whole pipeline — explore, group, crosscheck, distill —\nthrough one session: both agents explore concurrently, witnesses distill\nas verdicts land, and one journal (<out>session.wal) covers everything so\n--resume continues mid-pipeline. It publishes the same artifacts the\nphased commands would (<out><agent>_<test>.json, <out>corpus_<test>.json),\nbyte-identical modulo recorded wall-clock.\n\n--solver-budget caps the SAT conflicts spent per solver query; exhausted\nqueries degrade to Unknown (reported, never misclassified).\n--retry-unknown re-solves Unknown pairs under geometrically escalated\nbudgets (x4 per rung) before reporting them unverified.\n--no-incremental disables the per-test incremental solver memos\n(CNF caching, cone probes before the fresh solve); artifacts are\nbyte-identical either way — the flag is a speed lever for comparison.\n--protocol selects the protocol under audit (default of10, the
+        "usage:\n{SYNOPSIS}\n\nserve runs a continuously-incremental audit daemon on 127.0.0.1: jobs\narrive over a framed-JSON TCP socket (the bound address is printed and\npublished at <store>/addr), shard across a bounded worker pool, and\nland in a persistent content-addressed store. Re-submitting an\nunchanged job is answered from the store with zero solver queries and\nbyte-identical artifacts; after an agent changes, the stored run seeds\na diff that re-solves only the impacted group pairs. SIGTERM drains\ngracefully (a second SIGTERM exits at once); accepted-but-unfinished\njobs recover from their journals on restart. submit sends one job (or\n--status/--drain) and exits with the usual verdict codes; report\n--json --store DIR embeds the daemon's counters.\n\nroute runs the fleet front-end on 127.0.0.1: submit speaks to it\nexactly as to a single daemon, while jobs shard over the --backends\nlist via a consistent-hash ring (--vnodes virtual nodes each). Jobs\nqueued on a saturated back-end are work-stolen to idle replicas;\npublished results are pushed to --replicas ring successors, so a\nback-end killed mid-job degrades to a re-routed solve and an\nunchanged re-audit is answered from any surviving replica. Duplicate\nsubmissions coalesce fleet-wide. fleet prints the router's topology\nand health view; --drain at the router drains every back-end.\n\nconform replays a witness corpus OVER THE WIRE, OFTest-style: it dials\nthe DUT's OpenFlow 1.0 control channel (--addr), performs the\nHELLO/FEATURES handshake with an echo keepalive, replays every witness\nbehind a sentinel barrier, and classifies the DUT per root-cause\ncluster as reference-like, ovs-like, or novel. Transport is\nfault-tolerant: per-operation deadlines, jittered-backoff retries on\nfresh connections (--retries, --op-timeout-ms), and explicit degraded\nverdicts — flaky (connected but never completed, full error chain\nrecorded) and unreachable (never connected). --self-test serves both\ncorpus agents behind loopback listeners and requires correct\nclassification of each; every --fault-seed re-runs through a\ndeterministic splitmix64 fault injector (torn frames, truncation,\nstalls, resets, reordered echoes) and requires verdicts byte-identical\nto the clean run. conform-dut serves one agent on a TCP port for\nexternal harnesses.\n\nrun drives the whole pipeline — explore, group, crosscheck, distill —\nthrough one session: both agents explore concurrently, the witnesses\ndistill from the one crosscheck, and one journal (<out>session.wal) covers everything so\n--resume continues mid-pipeline. It publishes the same artifacts the\nphased commands would (<out><agent>_<test>.json, <out>corpus_<test>.json),\nbyte-identical modulo recorded wall-clock.\n\n--solver-budget caps the SAT conflicts spent per solver query; exhausted\nqueries degrade to Unknown (reported, never misclassified).\n--retry-unknown re-solves Unknown pairs under geometrically escalated\nbudgets (x4 per rung) before reporting them unverified.\n--no-incremental disables the per-test incremental solver memos\n(CNF caching, cone probes before the fresh solve); artifacts are\nbyte-identical either way — the flag is a speed lever for comparison.\n--protocol selects the protocol under audit (default of10, the
 OpenFlow 1.0 models). tlv is a compact tag-length-value echo/handshake
 protocol with two intentionally divergent agents (strict, lenient) that
 exercises the same explore/group/crosscheck/distill kernel end to end.

@@ -162,8 +162,7 @@ impl Pool {
 
     /// [`Pool::acquire`], but abandon the wait once `cancel` is set —
     /// the path a queued routed job takes when the router steals it.
-    /// The wait polls on a short condvar timeout because the stealer
-    /// flips flags without holding the permit lock.
+    /// The stealer sets `cancel` and then calls [`Pool::wake`].
     fn acquire_unless(&self, cancel: &AtomicBool) -> Option<Permit<'_>> {
         let mut p = recover(&self.permits);
         loop {
@@ -174,12 +173,17 @@ impl Pool {
             if cancel.load(Ordering::Relaxed) {
                 return None;
             }
-            let (guard, _) = self
-                .cv
-                .wait_timeout(p, Duration::from_millis(20))
-                .unwrap_or_else(|e| e.into_inner());
-            p = guard;
+            p = self.cv.wait(p).unwrap_or_else(|e| e.into_inner());
         }
+    }
+
+    /// Wake every waiter so it re-checks its cancel flag. Notifying under
+    /// the permit lock closes the race with a waiter about to block: it
+    /// either checks its flag after this lock (and sees it set) or is
+    /// already parked on the condvar (and is woken).
+    fn wake(&self) {
+        let _permits = recover(&self.permits);
+        self.cv.notify_all();
     }
 }
 
@@ -592,6 +596,7 @@ fn handle_request(state: &ServeState, fsync: bool, kind: &str, msg: &Json) -> Js
         "steal" => {
             let max = msg.get("max").and_then(|v| v.as_u64().ok()).unwrap_or(0);
             let n = state.stealable.steal(max);
+            state.pool.wake();
             state.counters.jobs_stolen.fetch_add(n, Ordering::Relaxed);
             proto::steal_ack(n)
         }
@@ -725,6 +730,33 @@ mod tests {
             std::thread::sleep(Duration::from_millis(50));
             drop(held);
             assert!(waiter.join().unwrap(), "freed permit must win the wait");
+        });
+    }
+
+    #[test]
+    fn steal_and_wake_release_a_blocked_waiter() {
+        let pool = Pool::new(1);
+        let held = pool.acquire();
+        let reg = StealRegistry::default();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let slot = reg.park("key");
+                let _ = tx.send(pool.acquire_unless(&slot.flag).is_none());
+            });
+            // Let the waiter park and block on the condvar, then steal it
+            // the way the `steal` handler does.
+            while recover(&reg.waiting).is_empty() {
+                std::thread::yield_now();
+            }
+            std::thread::sleep(Duration::from_millis(50));
+            assert_eq!(reg.steal(1), 1);
+            pool.wake();
+            let got = rx.recv_timeout(Duration::from_secs(10));
+            // Free the permit so a waiter the wake missed still returns
+            // and the scope can join.
+            drop(held);
+            assert_eq!(got, Ok(true), "a steal must wake its parked waiter");
         });
     }
 

@@ -8,17 +8,15 @@
 //! - both agents are explored concurrently, each by `jobs / 2` explorer
 //!   workers;
 //! - the phase-1 artifacts are published, parsed back, and grouped;
-//! - the canonical crosscheck pass solves every group pair once, and
-//!   witness distillation drafts begin per Sat verdict via
-//!   [`VerdictSink::on_decided`] while the pass is still solving;
-//! - the final corpus is assembled from the drafts once the pass
-//!   completes.
+//! - the canonical crosscheck pass solves every group pair once over
+//!   `jobs` workers;
+//! - [`distill`] turns the pass's inconsistencies into the witness corpus
+//!   over `jobs` workers, exactly as `soft distill` does.
 //!
 //! **Determinism invariant**: for the same seed and inputs the session
 //! publishes byte-identical artifacts (modulo recorded wall-clock) to
-//! the phased flow, at any `--jobs`. Drafts are pure functions of the
-//! canonical verdicts, and all published verdicts are merged in
-//! canonical pair order.
+//! the phased flow, at any `--jobs`. Every stage merges its results in
+//! canonical order, whatever worker produced them.
 //!
 //! One [`SessionJournal`] write-ahead log covers the whole session —
 //! path, verdict, and corpus records interleaved — so `--resume`
@@ -27,8 +25,8 @@
 //! seed the crosscheck, and only the genuinely unfinished work re-runs.
 
 use soft_core::{
-    condition_diff, crosscheck_durable, CheckSeeds, CrosscheckConfig, GroupedResults,
-    Inconsistency, Soft, VerdictSink,
+    condition_diff, crosscheck_durable, CheckSeeds, CrosscheckConfig, Soft, VerdictSink,
+    RETRY_FACTOR,
 };
 use soft_harness::journal::{
     atomic_write, run_unit_durable, session_fingerprint, SessionJournal, SessionRecovery,
@@ -39,7 +37,7 @@ use soft_harness::{run_test, TestCase, TestRun, TestRunFile};
 use soft_protocol::AgentRef;
 use soft_smt::{SatResult, SolverBudget};
 use soft_sym::ExplorerConfig;
-use soft_witness::{assemble, draft_witness, DistillConfig, WitnessDraft};
+use soft_witness::{distill, DistillConfig};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
@@ -178,9 +176,11 @@ impl SessionReport {
 /// check fingerprint. One definition, so a given configuration
 /// identifies the same work in both flows.
 pub fn check_settings(check: &CrosscheckConfig) -> String {
+    // The retry ladder once had a configurable factor and cap; their
+    // fixed values stay in the text so older journals still resume.
     format!(
-        "budget={:?};rungs={};factor={};cap={:?}",
-        check.solver_budget, check.retry_rungs, check.retry_factor, check.retry_cap
+        "budget={:?};rungs={};factor={RETRY_FACTOR};cap=None",
+        check.solver_budget, check.retry_rungs
     )
 }
 
@@ -199,7 +199,6 @@ pub fn run_session(cfg: &SessionConfig) -> Result<SessionReport, String> {
         jobs: cfg.jobs.max(1),
         retry_rungs: cfg.retry_rungs,
         incremental: cfg.incremental,
-        ..CrosscheckConfig::default()
     };
     let n_units = cfg.tests.len() * 2;
     let (journal, recovery) = match &cfg.journal {
@@ -252,30 +251,17 @@ pub fn run_session(cfg: &SessionConfig) -> Result<SessionReport, String> {
     Ok(SessionReport { outcomes })
 }
 
-type DraftMap = Mutex<HashMap<(usize, usize), WitnessDraft>>;
-
-/// The session's [`VerdictSink`]: journals every canonical verdict, and
-/// starts distilling a witness the moment a pair is freshly decided Sat
-/// — from whichever crosscheck worker solved it. Drafting is a pure
-/// function of the canonical verdict, so scheduling order cannot leak
-/// into the corpus; [`assemble`] slots the drafts back in canonical
-/// inconsistency order.
-struct EagerSink<'a> {
+/// The session's [`VerdictSink`]: journals every canonical verdict and
+/// collects it for the session report (the serve store persists them).
+/// Seeded pairs are not re-delivered here; `run_one_test` merges them
+/// back in.
+struct VerdictLog<'a> {
     journal: Option<&'a SessionJournal>,
     t: usize,
-    test: &'a TestCase,
-    grouped_a: &'a GroupedResults,
-    grouped_b: &'a GroupedResults,
-    agent_a: AgentRef,
-    agent_b: AgentRef,
-    drafts: &'a DraftMap,
-    /// Every canonically delivered verdict, collected for the session
-    /// report (the serve store persists them). Seeded pairs are not
-    /// re-delivered here; `run_one_test` merges them back in.
     collected: &'a Mutex<Vec<VerdictRec>>,
 }
 
-impl VerdictSink for EagerSink<'_> {
+impl VerdictSink for VerdictLog<'_> {
     fn on_verdict(&self, i: usize, j: usize, verdict: &SatResult, budget: &SolverBudget) {
         if let Some(journal) = self.journal {
             journal.record_verdict(self.t, i, j, verdict, budget);
@@ -286,29 +272,6 @@ impl VerdictSink for EagerSink<'_> {
             verdict: verdict.clone(),
             budget: *budget,
         });
-    }
-
-    fn on_decided(&self, i: usize, j: usize, verdict: &SatResult, _budget: &SolverBudget) {
-        let SatResult::Sat(model) = verdict else {
-            return;
-        };
-        let inc = Inconsistency {
-            test: self.grouped_a.test.clone(),
-            agent_a: self.grouped_a.agent.clone(),
-            agent_b: self.grouped_b.agent.clone(),
-            output_a: self.grouped_a.groups[i].output.clone(),
-            output_b: self.grouped_b.groups[j].output.clone(),
-            witness: model.as_ref().clone(),
-        };
-        let draft = draft_witness(
-            self.test,
-            &inc,
-            self.grouped_a,
-            self.grouped_b,
-            self.agent_a,
-            self.agent_b,
-        );
-        recover(self.drafts).insert((i, j), draft);
     }
 }
 
@@ -417,9 +380,8 @@ fn run_one_test(
         .group_artifact(&parsed_b)
         .map_err(|e| format!("{path_b}: {e}"))?;
 
-    // --- Stage 3: the canonical crosscheck pass. Journal-recovered
-    // verdicts seed it, and fresh Sat verdicts start distillation drafts
-    // immediately.
+    // --- Stage 3: the canonical crosscheck pass, seeded by
+    // journal-recovered verdicts.
     let mut seeds = CheckSeeds::new();
     for v in &recovery.verdicts[t] {
         seeds.insert(v.i, v.j, v.verdict.clone(), v.budget);
@@ -470,17 +432,10 @@ fn run_one_test(
             }
         }
     }
-    let drafts: DraftMap = Mutex::new(HashMap::new());
     let collected: Mutex<Vec<VerdictRec>> = Mutex::new(Vec::new());
-    let sink = EagerSink {
+    let sink = VerdictLog {
         journal,
         t,
-        test,
-        grouped_a: &grouped_a,
-        grouped_b: &grouped_b,
-        agent_a: cfg.agent_a,
-        agent_b: cfg.agent_b,
-        drafts: &drafts,
         collected: &collected,
     };
     let result = crosscheck_durable(&grouped_a, &grouped_b, check_cfg, Some(&seeds), Some(&sink));
@@ -490,36 +445,15 @@ fn run_one_test(
         }
     }
 
-    // --- Stage 4: assemble the corpus from the eager drafts. Seeded Sat
-    // pairs never fired `on_decided`, so their slots are drafted inside
-    // `assemble`; each inconsistency maps to its draft through the
-    // (output_a, output_b) pair, unique per side by construction.
-    let mut eager = recover(&drafts);
-    let slots: Vec<Option<WitnessDraft>> = result
-        .inconsistencies
-        .iter()
-        .map(|inc| {
-            let i = grouped_a
-                .groups
-                .iter()
-                .position(|g| g.output == inc.output_a)?;
-            let j = grouped_b
-                .groups
-                .iter()
-                .position(|g| g.output == inc.output_b)?;
-            eager.remove(&(i, j))
-        })
-        .collect();
-    drop(eager);
+    // --- Stage 4: distill the inconsistencies into the witness corpus.
     let distill_cfg = DistillConfig {
         jobs: cfg.jobs.max(1),
         seed: cfg.seed,
         fuzz_tries: cfg.fuzz_tries,
     };
-    let report = assemble(
+    let report = distill(
         test,
         &result,
-        slots,
         &grouped_a,
         &grouped_b,
         cfg.agent_a,
