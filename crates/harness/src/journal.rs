@@ -27,12 +27,13 @@ use crate::input::TestCase;
 use crate::json::{self, Json};
 use crate::runner::{agent_program, summarize, TestRun};
 use crate::wire::EventFile;
-use soft_protocol::{normalize_trace, AgentRef};
+use soft_protocol::{normalize_trace, AgentRef, TraceEvent};
 use soft_smt::{Assignment, SatResult, SolverBudget};
 use soft_sym::{
     explore_seeded, ExplorerConfig, PathOutcome, PathResult, PathSink, ResumeSeed, SeedPending,
 };
 use std::collections::{BTreeMap, HashMap};
+use std::fmt::Write as _;
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -246,8 +247,13 @@ impl JournalWriter {
     /// Append one record (length + checksum + payload) and make it
     /// durable if fsync is enabled.
     pub fn append(&mut self, record: &Json) -> io::Result<()> {
+        self.append_with(|out| record.write_into(out))
+    }
+
+    /// Append one record whose JSON payload `write` lays out.
+    fn append_with(&mut self, write: impl FnOnce(&mut String)) -> io::Result<()> {
         self.scratch.clear();
-        record.write_into(&mut self.scratch);
+        write(&mut self.scratch);
         let payload = self.scratch.as_bytes();
         self.buf.reserve(payload.len() + 8);
         self.buf
@@ -591,19 +597,15 @@ fn outcome_tag(outcome: &PathOutcome) -> &'static str {
 /// every path record that produced it. Most paths share few distinct
 /// outputs (the grouping premise), so this keeps the journal — and the
 /// per-path serialization cost — small.
-fn output_record(unit: usize, oid: u64, events: &[soft_protocol::TraceEvent]) -> Json {
-    let mut fields = record_head("output", "unit", unit);
-    fields.push(("oid".to_string(), Json::UInt(oid)));
-    fields.push((
-        "events".to_string(),
-        Json::Array(
-            events
-                .iter()
-                .map(|e| EventFile::from_event(e).to_json_value())
-                .collect(),
-        ),
-    ));
-    Json::Object(fields)
+fn write_output_record(out: &mut String, unit: usize, oid: u64, events: &[TraceEvent]) {
+    // The record head `record_head("output", "unit", unit)` builds, with
+    // the events streamed in the artifact's own event layout.
+    let _ = write!(
+        out,
+        "{{\"rec\":\"output\",\"unit\":{unit},\"oid\":{oid},\"events\":"
+    );
+    crate::wire::write_events(events, out);
+    out.push('}');
 }
 
 fn parse_output_record(v: &Json) -> Result<(u64, Vec<EventFile>), String> {
@@ -1214,8 +1216,10 @@ impl SessionJournal {
             None => {
                 let oid = st.next_oid;
                 st.next_oid += 1;
-                let rec = output_record(unit, oid, &ev);
-                if let Err(e) = st.writer.append(&rec) {
+                let res = st
+                    .writer
+                    .append_with(|out| write_output_record(out, unit, oid, &ev));
+                if let Err(e) = res {
                     self.stash(e);
                 }
                 st.outputs.insert(ev, oid);

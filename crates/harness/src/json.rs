@@ -157,7 +157,8 @@ impl std::fmt::Display for Json {
     }
 }
 
-fn write_string(s: &str, out: &mut String) {
+/// Append `s` to `out` as a JSON string literal.
+pub(crate) fn write_string(s: &str, out: &mut String) {
     out.push('"');
     // Bulk-copy maximal spans that need no escaping (the overwhelmingly
     // common case — ids, bitstrings, hex) instead of pushing char by char.

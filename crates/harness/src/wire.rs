@@ -6,6 +6,13 @@
 //! each subspace. This module defines that interchange format as JSON with
 //! terms in the `soft-smt` wire syntax, so the crosschecking party needs
 //! no access to the agent at all.
+//!
+//! One streaming writer lays the artifact out. [`encode_run`] feeds it an
+//! explored [`TestRun`] directly — each term is printed into one reused
+//! scratch buffer and escaped into the output, with no per-term `String`
+//! and no JSON tree — and [`TestRunFile::to_json`] feeds it a parsed
+//! artifact's wire strings, so both produce the same bytes for the same
+//! run. [`TestRunFile::from_json`] is the one reader.
 
 use crate::json::{self, Json};
 use crate::runner::{ObservedOutput, PathRecord, TestRun};
@@ -302,19 +309,19 @@ impl TestRunFile {
 
     /// Serialize to JSON.
     pub fn to_json(&self) -> String {
-        Json::Object(vec![
-            ("agent".into(), Json::Str(self.agent.clone())),
-            ("test".into(), Json::Str(self.test.clone())),
-            (
-                "paths".into(),
-                Json::Array(self.paths.iter().map(PathFile::to_json_value).collect()),
-            ),
-            ("wall_ms".into(), Json::UInt(self.wall_ms)),
-            ("instruction_pct".into(), Json::Float(self.instruction_pct)),
-            ("branch_pct".into(), Json::Float(self.branch_pct)),
-            ("truncated".into(), Json::Bool(self.truncated)),
-        ])
-        .to_string()
+        write_artifact(
+            &RunHead {
+                agent: &self.agent,
+                test: &self.test,
+                wall_ms: self.wall_ms,
+                instruction_pct: self.instruction_pct,
+                branch_pct: self.branch_pct,
+                truncated: self.truncated,
+            },
+            self.paths
+                .iter()
+                .map(|p| (&p.condition, p.crashed, &p.events[..])),
+        )
     }
 
     /// Parse from JSON.
@@ -341,17 +348,6 @@ impl TestRunFile {
 }
 
 impl PathFile {
-    fn to_json_value(&self) -> Json {
-        Json::Object(vec![
-            ("condition".into(), Json::Str(self.condition.clone())),
-            ("crashed".into(), Json::Bool(self.crashed)),
-            (
-                "events".into(),
-                Json::Array(self.events.iter().map(EventFile::to_json_value).collect()),
-            ),
-        ])
-    }
-
     fn from_json_value(v: &Json) -> Result<PathFile, String> {
         Ok(PathFile {
             condition: v.field("condition")?.as_str()?.to_string(),
@@ -366,10 +362,6 @@ impl PathFile {
     }
 }
 
-fn strings_out(v: &[String]) -> Json {
-    Json::Array(v.iter().map(|s| Json::Str(s.clone())).collect())
-}
-
 fn strings_in(v: &Json) -> Result<Vec<String>, String> {
     v.as_array()?
         .iter()
@@ -378,71 +370,6 @@ fn strings_in(v: &Json) -> Result<Vec<String>, String> {
 }
 
 impl EventFile {
-    /// Serialize to a JSON value (shared with the journal records).
-    pub(crate) fn to_json_value(&self) -> Json {
-        let kind = |k: &str| ("kind".to_string(), Json::Str(k.to_string()));
-        match self {
-            EventFile::Error { xid, etype, code } => Json::Object(vec![
-                kind("error"),
-                ("xid".into(), Json::Str(xid.clone())),
-                ("etype".into(), Json::Str(etype.clone())),
-                ("code".into(), Json::Str(code.clone())),
-            ]),
-            EventFile::PacketIn {
-                buffer_id,
-                in_port,
-                reason,
-                data_len,
-                data,
-            } => Json::Object(vec![
-                kind("packet_in"),
-                ("buffer_id".into(), Json::Str(buffer_id.clone())),
-                ("in_port".into(), Json::Str(in_port.clone())),
-                ("reason".into(), Json::Str(reason.clone())),
-                ("data_len".into(), Json::Str(data_len.clone())),
-                ("data".into(), strings_out(data)),
-            ]),
-            EventFile::OfReply {
-                msg_type,
-                fields,
-                body,
-            } => Json::Object(vec![
-                kind("of_reply"),
-                ("msg_type".into(), Json::UInt(*msg_type as u64)),
-                (
-                    "fields".into(),
-                    Json::Array(
-                        fields
-                            .iter()
-                            .map(|(n, t)| {
-                                Json::Array(vec![Json::Str(n.clone()), Json::Str(t.clone())])
-                            })
-                            .collect(),
-                    ),
-                ),
-                ("body".into(), strings_out(body)),
-            ]),
-            EventFile::DataPlaneTx { port, data } => Json::Object(vec![
-                kind("data_plane_tx"),
-                ("port".into(), Json::Str(port.clone())),
-                ("data".into(), strings_out(data)),
-            ]),
-            EventFile::Flood {
-                exclude_ingress,
-                data,
-            } => Json::Object(vec![
-                kind("flood"),
-                ("exclude_ingress".into(), Json::Bool(*exclude_ingress)),
-                ("data".into(), strings_out(data)),
-            ]),
-            EventFile::NormalForward { data } => Json::Object(vec![
-                kind("normal_forward"),
-                ("data".into(), strings_out(data)),
-            ]),
-            EventFile::ProbeDropped => Json::Object(vec![kind("probe_dropped")]),
-        }
-    }
-
     /// Parse from a JSON value (shared with the journal records).
     pub(crate) fn from_json_value(v: &Json) -> Result<EventFile, String> {
         let kind = v.field("kind")?.as_str()?;
@@ -495,6 +422,363 @@ impl EventFile {
             "probe_dropped" => EventFile::ProbeDropped,
             other => return Err(format!("unknown event kind '{other}'")),
         })
+    }
+}
+
+/// A term as an artifact stores it: an in-memory [`Term`], printed to
+/// wire syntax, or wire text already (a parsed artifact's).
+trait WireTerm {
+    fn wire_into(&self, out: &mut String);
+}
+
+impl WireTerm for Term {
+    fn wire_into(&self, out: &mut String) {
+        sexpr::write_wire(self, out);
+    }
+}
+
+impl WireTerm for String {
+    fn wire_into(&self, out: &mut String) {
+        out.push_str(self);
+    }
+}
+
+/// One event's fields, borrowed from a [`TraceEvent`] or an [`EventFile`]
+/// for [`Writer::event`].
+enum EventView<'a, N, T> {
+    Error {
+        xid: &'a T,
+        etype: &'a T,
+        code: &'a T,
+    },
+    PacketIn {
+        buffer_id: &'a T,
+        in_port: &'a T,
+        reason: &'a T,
+        data_len: &'a T,
+        data: &'a [T],
+    },
+    OfReply {
+        msg_type: u8,
+        fields: &'a [(N, T)],
+        body: &'a [T],
+    },
+    DataPlaneTx {
+        port: &'a T,
+        data: &'a [T],
+    },
+    Flood {
+        exclude_ingress: bool,
+        data: &'a [T],
+    },
+    NormalForward {
+        data: &'a [T],
+    },
+    ProbeDropped,
+}
+
+/// An event the artifact writer can lay out.
+trait WireEvent {
+    type Name: AsRef<str>;
+    type Term: WireTerm;
+    fn view(&self) -> EventView<'_, Self::Name, Self::Term>;
+}
+
+impl WireEvent for TraceEvent {
+    type Name = &'static str;
+    type Term = Term;
+    fn view(&self) -> EventView<'_, &'static str, Term> {
+        match self {
+            TraceEvent::Error { xid, etype, code } => EventView::Error { xid, etype, code },
+            TraceEvent::PacketIn {
+                buffer_id,
+                in_port,
+                reason,
+                data_len,
+                data,
+            } => EventView::PacketIn {
+                buffer_id,
+                in_port,
+                reason,
+                data_len,
+                data: data.bytes(),
+            },
+            TraceEvent::OfReply {
+                msg_type,
+                fields,
+                body,
+            } => EventView::OfReply {
+                msg_type: *msg_type,
+                fields,
+                body: body.bytes(),
+            },
+            TraceEvent::DataPlaneTx { port, data } => EventView::DataPlaneTx {
+                port,
+                data: data.bytes(),
+            },
+            TraceEvent::Flood {
+                exclude_ingress,
+                data,
+            } => EventView::Flood {
+                exclude_ingress: *exclude_ingress,
+                data: data.bytes(),
+            },
+            TraceEvent::NormalForward { data } => EventView::NormalForward { data: data.bytes() },
+            TraceEvent::ProbeDropped => EventView::ProbeDropped,
+        }
+    }
+}
+
+impl WireEvent for EventFile {
+    type Name = String;
+    type Term = String;
+    fn view(&self) -> EventView<'_, String, String> {
+        match self {
+            EventFile::Error { xid, etype, code } => EventView::Error { xid, etype, code },
+            EventFile::PacketIn {
+                buffer_id,
+                in_port,
+                reason,
+                data_len,
+                data,
+            } => EventView::PacketIn {
+                buffer_id,
+                in_port,
+                reason,
+                data_len,
+                data,
+            },
+            EventFile::OfReply {
+                msg_type,
+                fields,
+                body,
+            } => EventView::OfReply {
+                msg_type: *msg_type,
+                fields,
+                body,
+            },
+            EventFile::DataPlaneTx { port, data } => EventView::DataPlaneTx { port, data },
+            EventFile::Flood {
+                exclude_ingress,
+                data,
+            } => EventView::Flood {
+                exclude_ingress: *exclude_ingress,
+                data,
+            },
+            EventFile::NormalForward { data } => EventView::NormalForward { data },
+            EventFile::ProbeDropped => EventView::ProbeDropped,
+        }
+    }
+}
+
+/// What an artifact records besides its paths.
+struct RunHead<'a> {
+    agent: &'a str,
+    test: &'a str,
+    wall_ms: u64,
+    instruction_pct: f64,
+    branch_pct: f64,
+    truncated: bool,
+}
+
+/// The one artifact layout: compact JSON, fields in the order
+/// [`TestRunFile::from_json`] reads them, `paths` yielding each path's
+/// condition, crash flag and events.
+fn write_artifact<'a, E>(
+    head: &RunHead,
+    paths: impl Iterator<Item = (&'a E::Term, bool, &'a [E])>,
+) -> String
+where
+    E: WireEvent + 'a,
+{
+    let mut out = String::new();
+    let mut w = Writer::new(&mut out);
+    w.out.push_str("{\"agent\":");
+    json::write_string(head.agent, w.out);
+    w.out.push_str(",\"test\":");
+    json::write_string(head.test, w.out);
+    w.out.push_str(",\"paths\":[");
+    for (i, (condition, crashed, events)) in paths.enumerate() {
+        if i > 0 {
+            w.out.push(',');
+        }
+        w.out.push_str("{\"condition\":");
+        w.term(condition);
+        w.out.push_str(",\"crashed\":");
+        Json::Bool(crashed).write_into(w.out);
+        w.out.push_str(",\"events\":");
+        w.events(events);
+        w.out.push('}');
+    }
+    w.out.push_str("],\"wall_ms\":");
+    Json::UInt(head.wall_ms).write_into(w.out);
+    w.out.push_str(",\"instruction_pct\":");
+    Json::Float(head.instruction_pct).write_into(w.out);
+    w.out.push_str(",\"branch_pct\":");
+    Json::Float(head.branch_pct).write_into(w.out);
+    w.out.push_str(",\"truncated\":");
+    Json::Bool(head.truncated).write_into(w.out);
+    w.out.push('}');
+    out
+}
+
+/// The phase-1 artifact of an explored run, written straight from its
+/// terms: byte-identical to `TestRunFile::from_run(run).to_json()`
+/// without building that copy.
+pub fn encode_run(run: &TestRun) -> String {
+    write_artifact(
+        &RunHead {
+            agent: &run.agent,
+            test: &run.test,
+            wall_ms: run.wall.as_millis() as u64,
+            instruction_pct: run.instruction_pct,
+            branch_pct: run.branch_pct,
+            truncated: run.stats.truncated,
+        },
+        run.paths
+            .iter()
+            .map(|p| (&p.condition, p.output.crashed, &p.output.events[..])),
+    )
+}
+
+/// Append `events` to `out` as the JSON array an artifact path (or a
+/// journal output record) carries.
+pub(crate) fn write_events(events: &[TraceEvent], out: &mut String) {
+    Writer::new(out).events(events);
+}
+
+/// Streams JSON into `out`; each term's wire text is staged in the one
+/// `scratch` buffer and escaped from there.
+struct Writer<'o> {
+    out: &'o mut String,
+    scratch: String,
+}
+
+impl<'o> Writer<'o> {
+    fn new(out: &'o mut String) -> Writer<'o> {
+        Writer {
+            out,
+            scratch: String::new(),
+        }
+    }
+
+    fn term(&mut self, t: &impl WireTerm) {
+        self.scratch.clear();
+        t.wire_into(&mut self.scratch);
+        json::write_string(&self.scratch, self.out);
+    }
+
+    /// `,"key":` and the term as a JSON string.
+    fn field(&mut self, key: &str, t: &impl WireTerm) {
+        self.key(key);
+        self.term(t);
+    }
+
+    /// `,"key":` and the terms as an array of JSON strings.
+    fn terms<T: WireTerm>(&mut self, key: &str, ts: &[T]) {
+        self.key(key);
+        self.out.push('[');
+        for (i, t) in ts.iter().enumerate() {
+            if i > 0 {
+                self.out.push(',');
+            }
+            self.term(t);
+        }
+        self.out.push(']');
+    }
+
+    /// `{"kind":"<kind>"`, the head of every event object.
+    fn open(&mut self, kind: &str) {
+        self.out.push_str("{\"kind\":\"");
+        self.out.push_str(kind);
+        self.out.push('"');
+    }
+
+    fn key(&mut self, key: &str) {
+        self.out.push_str(",\"");
+        self.out.push_str(key);
+        self.out.push_str("\":");
+    }
+
+    fn events<E: WireEvent>(&mut self, events: &[E]) {
+        self.out.push('[');
+        for (i, e) in events.iter().enumerate() {
+            if i > 0 {
+                self.out.push(',');
+            }
+            self.event(e);
+        }
+        self.out.push(']');
+    }
+
+    /// One event as an internally tagged object:
+    /// `{"kind":"<snake_case variant>",...fields}`.
+    fn event<E: WireEvent>(&mut self, e: &E) {
+        match e.view() {
+            EventView::Error { xid, etype, code } => {
+                self.open("error");
+                self.field("xid", xid);
+                self.field("etype", etype);
+                self.field("code", code);
+            }
+            EventView::PacketIn {
+                buffer_id,
+                in_port,
+                reason,
+                data_len,
+                data,
+            } => {
+                self.open("packet_in");
+                self.field("buffer_id", buffer_id);
+                self.field("in_port", in_port);
+                self.field("reason", reason);
+                self.field("data_len", data_len);
+                self.terms("data", data);
+            }
+            EventView::OfReply {
+                msg_type,
+                fields,
+                body,
+            } => {
+                self.open("of_reply");
+                self.key("msg_type");
+                Json::UInt(msg_type as u64).write_into(self.out);
+                self.key("fields");
+                self.out.push('[');
+                for (i, (name, t)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        self.out.push(',');
+                    }
+                    self.out.push('[');
+                    json::write_string(name.as_ref(), self.out);
+                    self.out.push(',');
+                    self.term(t);
+                    self.out.push(']');
+                }
+                self.out.push(']');
+                self.terms("body", body);
+            }
+            EventView::DataPlaneTx { port, data } => {
+                self.open("data_plane_tx");
+                self.field("port", port);
+                self.terms("data", data);
+            }
+            EventView::Flood {
+                exclude_ingress,
+                data,
+            } => {
+                self.open("flood");
+                self.key("exclude_ingress");
+                Json::Bool(exclude_ingress).write_into(self.out);
+                self.terms("data", data);
+            }
+            EventView::NormalForward { data } => {
+                self.open("normal_forward");
+                self.terms("data", data);
+            }
+            EventView::ProbeDropped => self.open("probe_dropped"),
+        }
+        self.out.push('}');
     }
 }
 

@@ -17,7 +17,9 @@ pub fn to_wire(t: &Term) -> String {
     s
 }
 
-fn write_wire(t: &Term, out: &mut String) {
+/// Append a term's wire form to `out` (what [`to_wire`] returns), so a
+/// caller serializing many terms can reuse one buffer.
+pub fn write_wire(t: &Term, out: &mut String) {
     match t.op() {
         Op::BvConst { width, value } => {
             let _ = write!(out, "(c {width} {value})");

@@ -31,8 +31,8 @@ use soft::core::{crosscheck_durable, replay, CheckSeeds, CrosscheckConfig, Group
 use soft::fleet::job::{agent_by_name, protocol_by_id};
 use soft::harness::json::Json;
 use soft::harness::{
-    atomic_write, check_fingerprint, phase1_fingerprint, run_matrix, run_test, run_unit_durable,
-    JournalError, SessionJournal, TestCase, TestRun, TestRunFile,
+    atomic_write, check_fingerprint, encode_run, phase1_fingerprint, run_matrix, run_test,
+    run_unit_durable, JournalError, SessionJournal, TestCase, TestRun, TestRunFile,
 };
 use soft::protocol::{AgentRef, Protocol};
 use soft::smt::{SatResult, SolverBudget};
@@ -368,21 +368,16 @@ fn cmd_phase1(args: &[String]) -> ExitCode {
                 continue;
             }
         };
-        let artifact = TestRunFile::from_run(run);
         eprintln!(
             "  {}/{}: {} paths, instruction coverage {:.1}%, wall {} ms",
             run.agent,
             run.test,
-            artifact.paths.len(),
-            artifact.instruction_pct,
-            artifact.wall_ms
+            run.paths.len(),
+            run.instruction_pct,
+            run.wall.as_millis()
         );
         let path = artifact_path(&run.agent, &run.test);
-        if let Err(e) = atomic_write(
-            Path::new(&path),
-            artifact.to_json().as_bytes(),
-            journal.fsync,
-        ) {
+        if let Err(e) = atomic_write(Path::new(&path), encode_run(run).as_bytes(), journal.fsync) {
             eprintln!("phase1: cannot write {path}: {e}");
             return ExitCode::FAILURE;
         }

@@ -7,7 +7,10 @@
 //!
 //! - both agents are explored concurrently, each by `jobs / 2` explorer
 //!   workers;
-//! - the phase-1 artifacts are published, parsed back, and grouped;
+//! - each phase-1 artifact is encoded straight from its explored run
+//!   and published, and the explored paths are grouped in memory (a
+//!   term reads back from its wire form as itself, so these are the
+//!   groups `check` builds from the published files);
 //! - the canonical crosscheck pass solves every group pair once over
 //!   `jobs` workers;
 //! - [`distill`] turns the pass's inconsistencies into the witness corpus
@@ -25,15 +28,15 @@
 //! seed the crosscheck, and only the genuinely unfinished work re-runs.
 
 use soft_core::{
-    condition_diff, crosscheck_durable, CheckSeeds, CrosscheckConfig, Soft, VerdictSink,
-    RETRY_FACTOR,
+    condition_diff, crosscheck_durable, CheckSeeds, CrosscheckConfig, GroupedResults, Soft,
+    VerdictSink, RETRY_FACTOR,
 };
 use soft_harness::journal::{
     atomic_write, run_unit_durable, session_fingerprint, SessionJournal, SessionRecovery,
     UnitRecovery, VerdictRec,
 };
 use soft_harness::json::Json;
-use soft_harness::{run_test, TestCase, TestRun, TestRunFile};
+use soft_harness::{encode_run, run_test, TestCase, TestRun, TestRunFile};
 use soft_protocol::AgentRef;
 use soft_smt::{SatResult, SolverBudget};
 use soft_sym::ExplorerConfig;
@@ -189,6 +192,15 @@ pub fn check_settings(check: &CrosscheckConfig) -> String {
 /// same artifacts the phased commands would (modulo recorded wall-clock)
 /// for any `jobs` value.
 pub fn run_session(cfg: &SessionConfig) -> Result<SessionReport, String> {
+    // Every published file is `{out_prefix}<name>`, so they all land in
+    // the parent directory of `{out_prefix}_`. Create it up front,
+    // journal or not, so a run never explores only to fail at its first
+    // publish.
+    if let Some(dir) = Path::new(&format!("{}_", cfg.out_prefix)).parent() {
+        if !dir.as_os_str().is_empty() {
+            std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
+        }
+    }
     let base_explorer = ExplorerConfig {
         solver_budget: cfg.solver_budget,
         seed: cfg.seed,
@@ -351,34 +363,28 @@ fn run_one_test(
     });
     let (run_a, run_b) = (run_a?, run_b?);
 
-    // --- Stage 2: publish phase-1 artifacts, then group from the
-    // parsed-back wire form — the exact input the phased `check` command
-    // consumes — so any wire-roundtrip normalization lands identically in
-    // both flows.
-    let file_a = TestRunFile::from_run(&run_a);
-    let file_b = TestRunFile::from_run(&run_b);
-    let text_a = file_a.to_json();
-    let text_b = file_b.to_json();
-    let path_a = format!("{}{}_{}.json", cfg.out_prefix, run_a.agent, run_a.test);
-    let path_b = format!("{}{}_{}.json", cfg.out_prefix, run_b.agent, run_b.test);
-    atomic_write(Path::new(&path_a), text_a.as_bytes(), cfg.fsync)
-        .map_err(|e| format!("write {path_a}: {e}"))?;
-    atomic_write(Path::new(&path_b), text_b.as_bytes(), cfg.fsync)
-        .map_err(|e| format!("write {path_b}: {e}"))?;
+    // --- Stage 2: publish each phase-1 artifact straight from its run,
+    // then group the explored paths in memory. A term reads back from
+    // its wire form as itself (`from_wire(to_wire(t)) == t`, guarded by
+    // `tests/two_phase_decoupling.rs`), so these are the groups the
+    // phased `check` builds from the published files.
+    let soft = Soft::new();
+    let publish_and_group = |run: &TestRun| -> Result<GroupedResults, String> {
+        let path = format!("{}{}_{}.json", cfg.out_prefix, run.agent, run.test);
+        atomic_write(Path::new(&path), encode_run(run).as_bytes(), cfg.fsync)
+            .map_err(|e| format!("write {path}: {e}"))?;
+        soft.group(run).map_err(|e| format!("{path}: {e}"))
+    };
+    let grouped_a = publish_and_group(&run_a)?;
+    let grouped_b = publish_and_group(&run_b)?;
     if let Some(j) = journal {
         if let Some(e) = j.take_error() {
             return Err(format!("session journal write failed: {e}"));
         }
     }
-    let soft = Soft::new();
-    let parsed_a = TestRunFile::from_json(&text_a).map_err(|e| format!("{path_a}: {e}"))?;
-    let parsed_b = TestRunFile::from_json(&text_b).map_err(|e| format!("{path_b}: {e}"))?;
-    let grouped_a = soft
-        .group_artifact(&parsed_a)
-        .map_err(|e| format!("{path_a}: {e}"))?;
-    let grouped_b = soft
-        .group_artifact(&parsed_b)
-        .map_err(|e| format!("{path_b}: {e}"))?;
+    let (paths_a, paths_b) = (run_a.paths.len(), run_b.paths.len());
+    let truncated = run_a.stats.truncated || run_b.stats.truncated;
+    drop((run_a, run_b));
 
     // --- Stage 3: the canonical crosscheck pass, seeded by
     // journal-recovered verdicts.
@@ -484,9 +490,9 @@ fn run_one_test(
 
     let outcome = TestOutcome {
         test: test.id.to_string(),
-        paths_a: run_a.paths.len(),
-        paths_b: run_b.paths.len(),
-        truncated: run_a.stats.truncated || run_b.stats.truncated,
+        paths_a,
+        paths_b,
+        truncated,
         inconsistencies: result.inconsistencies.len(),
         unverified: result.unverified.len(),
         confirmed: report.stats.confirmed,

@@ -202,6 +202,38 @@ fn streaming_run_workflow() {
 }
 
 #[test]
+fn run_without_journal_creates_the_out_directory() {
+    // Only the journal used to create the `--out` directory, so a
+    // `--no-journal` run explored and then failed at its first publish.
+    let dir = std::env::temp_dir().join("soft_cli_run_no_journal");
+    let _ = std::fs::remove_dir_all(&dir);
+    let prefix = format!("{}/nodir/x_", dir.display());
+    let (stdout, stderr, code) = run(&[
+        "run",
+        "--agents",
+        "reference,ovs",
+        "--test",
+        "short_symb",
+        "--no-journal",
+        "--no-fsync",
+        "--out",
+        &prefix,
+    ]);
+    assert!(matches!(code, Some(0) | Some(2)), "stderr: {stderr}");
+    assert!(stdout.contains("short_symb:"), "{stdout}");
+    for artifact in [
+        "x_reference_short_symb.json",
+        "x_ovs_short_symb.json",
+        "x_corpus_short_symb.json",
+    ] {
+        assert!(
+            dir.join("nodir").join(artifact).exists(),
+            "missing published artifact {artifact}"
+        );
+    }
+}
+
+#[test]
 fn run_flag_validation() {
     let (_, stderr, code) = run(&["run", "--test", "queue_config"]);
     assert_eq!(code, Some(1));
