@@ -78,7 +78,7 @@ fn main() {
             });
             ex.paths
                 .iter()
-                .filter(|p| p.coverage.blocks.contains("packet_out.execute"))
+                .filter(|p| p.coverage.blocks.contains(&"packet_out.execute"))
                 .count()
         };
         let share = 100.0 * po_paths as f64 / run.paths.len().max(1) as f64;

@@ -562,10 +562,10 @@ struct RecordedPath {
 /// stores this instead of the full block/branch lists: replay validation
 /// only ever compares the sets whole, and serializing the lists would
 /// dominate the journaling cost (they are the bulk of each record).
-fn cov_digest(coverage: &soft_sym::Coverage) -> String {
+fn cov_digest(coverage: &soft_sym::PathCoverage) -> String {
     // XOR-folding per-element FNV hashes is order-independent, so the
-    // sets need neither sorting nor copying (sets have no duplicates, so
-    // XOR cancellation cannot occur).
+    // digest needs no particular order (the lists come from sets and have
+    // no duplicates, so XOR cancellation cannot occur).
     let elem = |bytes: &[u8], tag: u8| -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         for &b in bytes.iter().chain(std::iter::once(&tag)) {

@@ -13,10 +13,11 @@
 //! while the incremental probe's memo ([`crate::incremental`]) records the
 //! definitions by output variable and loads only the ones a query needs.
 
+use crate::fxhash::FxHashMap;
 use crate::sat::{Lit, SatSolver};
 use crate::term::{BvBinOp, BvUnaryOp, CmpOp, Op, Term};
 use crate::Assignment;
-use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A gate over input literals; its output literal is named separately.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,9 +95,12 @@ pub struct BitBlaster<S: GateSink = SatSolver> {
     /// Times a `blast_bv`/`blast_bool` lookup was served from the CNF
     /// cache instead of re-encoding the node.
     pub cache_hits: u64,
-    bv_cache: HashMap<u64, Vec<Lit>>,
-    bool_cache: HashMap<u64, Lit>,
-    var_bits: HashMap<String, Vec<Lit>>,
+    bv_cache: FxHashMap<u64, Vec<Lit>>,
+    bool_cache: FxHashMap<u64, Lit>,
+    /// Each blasted variable's name and bits, pushed on its `bv_cache`
+    /// miss. A variable is one interned node, so it misses once and is
+    /// listed once.
+    var_bits: Vec<(Arc<str>, Vec<Lit>)>,
     true_lit: Lit,
 }
 
@@ -125,9 +129,9 @@ impl<S: GateSink> BitBlaster<S> {
         BitBlaster {
             sat,
             cache_hits: 0,
-            bv_cache: HashMap::new(),
-            bool_cache: HashMap::new(),
-            var_bits: HashMap::new(),
+            bv_cache: FxHashMap::default(),
+            bool_cache: FxHashMap::default(),
+            var_bits: Vec::new(),
             true_lit,
         }
     }
@@ -376,13 +380,9 @@ impl<S: GateSink> BitBlaster<S> {
                 .map(|i| self.const_lit((value >> i) & 1 == 1))
                 .collect(),
             Op::BvVar { name, width } => {
-                if let Some(bits) = self.var_bits.get(name.as_ref()) {
-                    bits.clone()
-                } else {
-                    let bits: Vec<Lit> = (0..*width).map(|_| self.fresh()).collect();
-                    self.var_bits.insert(name.to_string(), bits.clone());
-                    bits
-                }
+                let bits: Vec<Lit> = (0..*width).map(|_| self.fresh()).collect();
+                self.var_bits.push((name.clone(), bits.clone()));
+                bits
             }
             Op::BvUnary(op, a) => {
                 let av = self.blast_bv(a);
@@ -542,7 +542,7 @@ impl BitBlaster {
                     v |= 1 << i;
                 }
             }
-            a.set(name.clone(), v);
+            a.set(name.as_ref(), v);
         }
         a
     }

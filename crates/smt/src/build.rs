@@ -10,7 +10,26 @@
 //! KLEE/Cloud9-style engine.
 
 use crate::term::{mask, BvBinOp, BvUnaryOp, CmpOp, Op, Sort, Term};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+
+/// Constants below this value get a slot in [`SMALL_BV`].
+const SMALL_BV_VALUES: usize = 256;
+
+/// The widths with a row in [`SMALL_BV`]: flags, bytes and the 16- and
+/// 32-bit message fields. A row costs its memory once any of its values
+/// is built, so rarer widths go to the interner.
+const SMALL_BV_WIDTHS: [u32; 4] = [1, 8, 16, 32];
+
+/// Interned bitvector constants below [`SMALL_BV_VALUES`] of the widths in
+/// [`SMALL_BV_WIDTHS`], one slot per (width, value), filled on first use.
+/// Concrete execution builds such constants at every step (each input byte
+/// is one); a filled slot hands out the node without hashing it or taking
+/// an interner shard lock.
+static SMALL_BV: [OnceLock<Term>; SMALL_BV_WIDTHS.len() * SMALL_BV_VALUES] =
+    [const { OnceLock::new() }; SMALL_BV_WIDTHS.len() * SMALL_BV_VALUES];
+
+/// The interned boolean constants, `[false, true]`, filled on first use.
+static BOOL_CONSTS: [OnceLock<Term>; 2] = [const { OnceLock::new() }; 2];
 
 /// Fold a binary bitvector operation on concrete values.
 pub(crate) fn fold_bin(op: BvBinOp, w: u32, a: u64, b: u64) -> u64 {
@@ -88,13 +107,15 @@ impl Term {
     /// Bitvector constant of the given width; `value` is masked to fit.
     pub fn bv_const(width: u32, value: u64) -> Term {
         assert!((1..=64).contains(&width), "bv width must be 1..=64");
-        Term::intern(
-            Op::BvConst {
-                width,
-                value: value & mask(width),
-            },
-            Sort::Bv(width),
-        )
+        let value = value & mask(width);
+        let intern = || Term::intern(Op::BvConst { width, value }, Sort::Bv(width));
+        match SMALL_BV_WIDTHS.iter().position(|&w| w == width) {
+            Some(row) if value < SMALL_BV_VALUES as u64 => SMALL_BV
+                [row * SMALL_BV_VALUES + value as usize]
+                .get_or_init(intern)
+                .clone(),
+            _ => intern(),
+        }
     }
 
     /// Named symbolic variable. The same (name, width) pair always returns
@@ -112,21 +133,19 @@ impl Term {
 
     /// Boolean constant `true`.
     pub fn bool_true() -> Term {
-        Term::intern(Op::BoolConst(true), Sort::Bool)
+        Term::bool_const(true)
     }
 
     /// Boolean constant `false`.
     pub fn bool_false() -> Term {
-        Term::intern(Op::BoolConst(false), Sort::Bool)
+        Term::bool_const(false)
     }
 
     /// Boolean constant.
     pub fn bool_const(b: bool) -> Term {
-        if b {
-            Term::bool_true()
-        } else {
-            Term::bool_false()
-        }
+        BOOL_CONSTS[b as usize]
+            .get_or_init(|| Term::intern(Op::BoolConst(b), Sort::Bool))
+            .clone()
     }
 
     // ------------------------------------------------------------ bv unary

@@ -4,8 +4,8 @@
 //! messages, and in tests as a ground-truth oracle for the bit-blaster.
 
 use crate::build::{fold_bin, fold_cmp};
+use crate::fxhash::FxHashMap;
 use crate::term::{mask, BvUnaryOp, Op, Term};
-use std::collections::HashMap;
 
 /// A (partial) assignment of variable names to concrete values.
 ///
@@ -13,7 +13,7 @@ use std::collections::HashMap;
 /// evaluate to 0 (matching how models treat don't-care variables).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Assignment {
-    values: HashMap<String, u64>,
+    values: std::collections::HashMap<String, u64>, // lint-exempt: names parsed from artifacts
 }
 
 /// A concrete value: either a bitvector (width, value) or a boolean.
@@ -81,7 +81,7 @@ impl Assignment {
 
     /// Evaluate `term` under this assignment. Unassigned variables read 0.
     pub fn eval(&self, term: &Term) -> Value {
-        let mut memo: HashMap<u64, Value> = HashMap::new();
+        let mut memo: FxHashMap<u64, Value> = FxHashMap::default();
         self.eval_memo(term, &mut memo)
     }
 
@@ -95,7 +95,7 @@ impl Assignment {
         self.eval(term).as_bv()
     }
 
-    fn eval_memo(&self, term: &Term, memo: &mut HashMap<u64, Value>) -> Value {
+    fn eval_memo(&self, term: &Term, memo: &mut FxHashMap<u64, Value>) -> Value {
         if let Some(v) = memo.get(&term.id()) {
             return *v;
         }

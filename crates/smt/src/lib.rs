@@ -35,6 +35,7 @@
 pub mod bitblast;
 mod build;
 mod eval;
+pub mod fxhash;
 pub mod incremental;
 pub mod metrics;
 pub mod sat;

@@ -5,68 +5,66 @@
 //! the term DAG (each shared node once). Depth is used by the grouping
 //! ablation (balanced vs. linear disjunction trees).
 
+use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::term::{Op, Term};
-use std::collections::{HashMap, HashSet};
 
-/// Number of operator applications (non-leaf nodes) in the DAG.
-pub fn op_count(t: &Term) -> u64 {
-    let mut seen: HashSet<u64> = HashSet::new();
-    let mut stack = vec![t.clone()];
-    let mut count = 0u64;
+/// Visit every distinct node of the DAG rooted at `t` once, depth-first.
+/// Borrows the nodes instead of cloning their handles, so the walk
+/// allocates only its stack and seen-set.
+fn for_each_node<'a>(t: &'a Term, mut visit: impl FnMut(&'a Term)) {
+    let mut seen: FxHashSet<u64> = FxHashSet::default();
+    let mut stack = vec![t];
     while let Some(t) = stack.pop() {
         if !seen.insert(t.id()) {
             continue;
         }
-        match t.op() {
-            Op::BvConst { .. } | Op::BvVar { .. } | Op::BoolConst(_) => {}
-            op => {
-                count += 1;
-                for c in op.children() {
-                    stack.push(c.clone());
-                }
-            }
-        }
+        visit(t);
+        stack.extend(t.op().children());
     }
+}
+
+/// Number of operator applications (non-leaf nodes) in the DAG.
+pub fn op_count(t: &Term) -> u64 {
+    let mut count = 0u64;
+    for_each_node(t, |t| {
+        if !matches!(
+            t.op(),
+            Op::BvConst { .. } | Op::BvVar { .. } | Op::BoolConst(_)
+        ) {
+            count += 1;
+        }
+    });
     count
 }
 
 /// Maximum operator nesting depth (leaves have depth 0).
 pub fn depth(t: &Term) -> u64 {
-    fn rec(t: &Term, memo: &mut HashMap<u64, u64>) -> u64 {
+    fn rec(t: &Term, memo: &mut FxHashMap<u64, u64>) -> u64 {
         if let Some(&d) = memo.get(&t.id()) {
             return d;
         }
         let d = t
             .op()
             .children()
-            .iter()
             .map(|c| rec(c, memo) + 1)
             .max()
             .unwrap_or(0);
         memo.insert(t.id(), d);
         d
     }
-    rec(t, &mut HashMap::new())
+    rec(t, &mut FxHashMap::default())
 }
 
-/// Collect the names and widths of all variables occurring in the term.
-pub fn variables(t: &Term) -> Vec<(String, u32)> {
-    let mut seen: HashSet<u64> = HashSet::new();
-    let mut out: Vec<(String, u32)> = Vec::new();
-    let mut stack = vec![t.clone()];
-    while let Some(t) = stack.pop() {
-        if !seen.insert(t.id()) {
-            continue;
+/// The interning ids of all variables occurring in the term, each once, in
+/// walk order. A variable's id names it within the process as its name
+/// does across processes (one name, one width), without copying the name.
+pub(crate) fn variable_ids(t: &Term) -> Vec<u64> {
+    let mut out = Vec::new();
+    for_each_node(t, |t| {
+        if let Op::BvVar { .. } = t.op() {
+            out.push(t.id());
         }
-        if let Op::BvVar { name, width } = t.op() {
-            out.push((name.to_string(), *width));
-        }
-        for c in t.op().children() {
-            stack.push(c.clone());
-        }
-    }
-    out.sort();
-    out.dedup();
+    });
     out
 }
 
@@ -93,7 +91,7 @@ mod tests {
     }
 
     #[test]
-    fn variables_are_deduped_and_sorted() {
+    fn variable_ids_are_deduped() {
         let x = Term::var("mt.a", 8);
         let y = Term::var("mt.b", 16);
         let e = x
@@ -102,9 +100,10 @@ mod tests {
             .bvadd(y.clone())
             .eq(y.clone())
             .and(x.clone().eq(Term::bv_const(8, 1)));
-        assert_eq!(
-            variables(&e),
-            vec![("mt.a".to_string(), 8), ("mt.b".to_string(), 16)]
-        );
+        let mut ids = variable_ids(&e);
+        ids.sort_unstable();
+        let mut want = vec![x.id(), y.id()];
+        want.sort_unstable();
+        assert_eq!(ids, want);
     }
 }

@@ -7,8 +7,8 @@
 //! equalities into the remaining conjuncts lets most infeasibility checks
 //! resolve without ever bit-blasting.
 
+use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::term::{Op, Term};
-use std::collections::HashMap;
 
 /// Flatten nested `And` nodes into a conjunct list.
 pub fn conjuncts(t: &Term) -> Vec<Term> {
@@ -67,12 +67,12 @@ pub fn mk_or_linear(terms: &[Term]) -> Term {
 /// is: rebuilding it through the smart constructors would give back the
 /// same interned node, since every node they intern is already in their
 /// normal form.
-pub fn substitute(t: &Term, map: &HashMap<Term, Term>) -> Term {
-    subst_rec(t, map, key_signature(map), &mut HashMap::new())
+pub fn substitute(t: &Term, map: &FxHashMap<Term, Term>) -> Term {
+    subst_rec(t, map, key_signature(map), &mut FxHashMap::default())
 }
 
 /// The union of the variable signatures of `map`'s keys.
-fn key_signature(map: &HashMap<Term, Term>) -> u64 {
+fn key_signature(map: &FxHashMap<Term, Term>) -> u64 {
     map.keys().fold(0, |sig, k| {
         // A key without variables (a constant subterm) can occur anywhere.
         sig | if k.var_sig() == 0 {
@@ -85,9 +85,9 @@ fn key_signature(map: &HashMap<Term, Term>) -> u64 {
 
 fn subst_rec(
     t: &Term,
-    map: &HashMap<Term, Term>,
+    map: &FxHashMap<Term, Term>,
     keys: u64,
-    memo: &mut HashMap<Term, Term>,
+    memo: &mut FxHashMap<Term, Term>,
 ) -> Term {
     if t.var_sig() & keys == 0 {
         return t.clone();
@@ -184,33 +184,27 @@ fn subst_rec(
 /// `target`* as long as the full conjunction is known satisfiable — exactly
 /// the situation of a branch-feasibility check, where the current path
 /// condition is satisfiable by construction.
+///
+/// Variables are compared by interning id, which within a process names a
+/// variable as its name does. A conjunct's variables are only collected
+/// once its signature meets the slice's: a conjunct sharing no signature
+/// bit shares no variable.
 pub fn relevant_slice(conjuncts: &[Term], target: &Term) -> Vec<Term> {
-    use std::collections::HashSet;
-    let mut vars: HashSet<String> = crate::metrics::variables(target)
-        .into_iter()
-        .map(|(n, _)| n)
-        .collect();
-    let conj_vars: Vec<Vec<String>> = conjuncts
-        .iter()
-        .map(|c| {
-            crate::metrics::variables(c)
-                .into_iter()
-                .map(|(n, _)| n)
-                .collect()
-        })
-        .collect();
+    let mut vars: FxHashSet<u64> = crate::metrics::variable_ids(target).into_iter().collect();
+    let mut sig = target.var_sig();
+    let mut conj_vars: Vec<Option<Vec<u64>>> = vec![None; conjuncts.len()];
     let mut included = vec![false; conjuncts.len()];
     loop {
         let mut changed = false;
-        for (i, cv) in conj_vars.iter().enumerate() {
-            if included[i] {
+        for (i, c) in conjuncts.iter().enumerate() {
+            if included[i] || c.var_sig() & sig == 0 {
                 continue;
             }
+            let cv = conj_vars[i].get_or_insert_with(|| crate::metrics::variable_ids(c));
             if cv.iter().any(|v| vars.contains(v)) {
                 included[i] = true;
-                for v in cv {
-                    vars.insert(v.clone());
-                }
+                vars.extend(cv.iter().copied());
+                sig |= c.var_sig();
                 changed = true;
             }
         }
@@ -245,7 +239,7 @@ pub fn propagate_equalities(assertions: &[Term]) -> Preprocessed {
         // Harvest var == const bindings. A variable bound to two different
         // constants refutes the conjunction outright: substituting the first
         // binding into the second would fold it to false anyway.
-        let mut map: HashMap<Term, Term> = HashMap::new();
+        let mut map: FxHashMap<Term, Term> = FxHashMap::default();
         for c in &todo {
             if let Op::Cmp(crate::term::CmpOp::Eq, a, b) = c.op() {
                 let (var, val) = if a.as_var().is_some() && b.is_const() {
@@ -271,7 +265,7 @@ pub fn propagate_equalities(assertions: &[Term]) -> Preprocessed {
         let mut changed = false;
         // One substitution memo for the round: conjuncts share subterms.
         let keys = key_signature(&map);
-        let mut memo: HashMap<Term, Term> = HashMap::new();
+        let mut memo: FxHashMap<Term, Term> = FxHashMap::default();
         for c in &todo {
             // Keep the binding equations themselves (they define the model).
             let is_binding = match c.op() {
@@ -342,10 +336,108 @@ mod tests {
         let x = Term::var("sub.x", 8);
         let y = Term::var("sub.y", 8);
         let e = x.clone().bvadd(y.clone()).eq(Term::bv_const(8, 10));
-        let mut m = HashMap::new();
+        let mut m = FxHashMap::default();
         m.insert(x, Term::bv_const(8, 4));
         let s = substitute(&e, &m);
         assert_eq!(s, y.eq(Term::bv_const(8, 6)));
+    }
+
+    /// The names of the variables occurring in `t`, sorted and deduped.
+    fn variables(t: &Term) -> Vec<String> {
+        let mut seen = std::collections::HashSet::new();
+        let mut out = Vec::new();
+        let mut stack = vec![t.clone()];
+        while let Some(t) = stack.pop() {
+            if !seen.insert(t.id()) {
+                continue;
+            }
+            if let Some((name, _)) = t.as_var() {
+                out.push(name.to_string());
+            }
+            stack.extend(t.op().children().cloned());
+        }
+        out.sort();
+        out.dedup();
+        out
+    }
+
+    /// The slice as computed before slicing by variable ids: variable
+    /// names, collected for every conjunct up front. Oracle for
+    /// [`relevant_slice`].
+    fn relevant_slice_by_name(conjuncts: &[Term], target: &Term) -> Vec<Term> {
+        use std::collections::HashSet;
+        let mut vars: HashSet<String> = variables(target).into_iter().collect();
+        let conj_vars: Vec<Vec<String>> = conjuncts.iter().map(variables).collect();
+        let mut included = vec![false; conjuncts.len()];
+        loop {
+            let mut changed = false;
+            for (i, cv) in conj_vars.iter().enumerate() {
+                if included[i] {
+                    continue;
+                }
+                if cv.iter().any(|v| vars.contains(v)) {
+                    included[i] = true;
+                    for v in cv {
+                        vars.insert(v.clone());
+                    }
+                    changed = true;
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        conjuncts
+            .iter()
+            .zip(&included)
+            .filter(|(_, inc)| **inc)
+            .map(|(c, _)| c.clone())
+            .collect()
+    }
+
+    #[test]
+    fn id_slice_matches_name_slice_on_random_conjunctions() {
+        // splitmix64: a seeded, dependency-free stream.
+        let mut state = 0x51ce_u64;
+        let mut below = |n: u64| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        };
+        // More variables than signature bits, so signatures collide and
+        // the prefilter's false positives are exercised too.
+        let pool: Vec<Term> = (0..96).map(|i| Term::var(format!("rsl.v{i}"), 8)).collect();
+        let mut sliced = 0;
+        for _ in 0..400 {
+            // Conjuncts over one to three variables drawn from a window of
+            // the pool, so chains of shared variables form.
+            let base = below(80) as usize;
+            let n = 1 + below(12) as usize;
+            let mut conjunct = || {
+                let x = &pool[base + below(16) as usize];
+                let k = Term::bv_const(8, below(256));
+                match below(3) {
+                    0 => x.clone().ult(k),
+                    1 => {
+                        let y = &pool[base + below(16) as usize];
+                        x.clone().bvadd(y.clone()).eq(k).not()
+                    }
+                    _ => {
+                        let y = &pool[below(96) as usize];
+                        let z = &pool[base + below(16) as usize];
+                        x.clone().bvxor(y.clone()).ule(z.clone())
+                    }
+                }
+            };
+            let conjs: Vec<Term> = (0..n).map(|_| conjunct()).collect();
+            let target = conjunct();
+            let want = relevant_slice_by_name(&conjs, &target);
+            sliced += conjs.len() - want.len();
+            assert_eq!(relevant_slice(&conjs, &target), want, "target {target}");
+        }
+        assert!(sliced > 0, "no conjunct was ever sliced away");
     }
 
     #[test]

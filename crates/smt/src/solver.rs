@@ -7,11 +7,11 @@
 //! input bytes, which the harness turns into concrete reproduction messages.
 
 use crate::bitblast::BitBlaster;
+use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::incremental::IncrementalSolver;
 use crate::sat::SatOutcome;
 use crate::simplify::{mk_and, propagate_equalities, Preprocessed};
 use crate::{Assignment, Term};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -283,7 +283,7 @@ pub struct VerdictCache {
 pub const DEFAULT_CACHE_CAP: usize = 1 << 20;
 
 /// One cache shard: canonical key → (verdict, recency stamp).
-type CacheShard = HashMap<Vec<Term>, (CachedVerdict, u64)>;
+type CacheShard = FxHashMap<Vec<Term>, (CachedVerdict, u64)>;
 
 impl Default for VerdictCache {
     fn default() -> Self {
@@ -312,7 +312,7 @@ impl VerdictCache {
     /// rounded to a shard multiple.
     pub fn bounded(max_entries: usize) -> Self {
         VerdictCache {
-            shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
+            shards: std::array::from_fn(|_| Mutex::new(CacheShard::default())),
             shard_cap: max_entries.div_ceil(CACHE_SHARDS).max(1),
             tick: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -669,13 +669,11 @@ impl Solver {
 /// witnesses may predate bindings the preprocessor would pin today).
 pub fn complete_model(assertions: &[Term], model: &mut Assignment) {
     let var_bound = {
-        let mut names: std::collections::HashSet<String> = std::collections::HashSet::new();
+        let mut vars: FxHashSet<u64> = FxHashSet::default();
         for a in assertions {
-            for (name, _) in crate::metrics::variables(a) {
-                names.insert(name);
-            }
+            vars.extend(crate::metrics::variable_ids(a));
         }
-        names.len()
+        vars.len()
     };
     for _ in 0..=var_bound {
         let mut changed = false;

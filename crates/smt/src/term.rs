@@ -11,7 +11,7 @@
 //! bytes identically (e.g. `m0.b5` for byte 5 of message 0), so the solver
 //! sees the same variable in both conditions.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, RandomState};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -201,6 +201,12 @@ impl Ord for Term {
 /// Number of interner shards. A power of two so shard selection is a mask.
 const INTERNER_SHARDS: usize = 16;
 
+/// One interner shard. Its keys carry variable names and constants parsed
+/// from artifacts, so it keeps the std keyed hasher: a crafted artifact
+/// cannot flood one bucket (every other term-keyed map hashes interner ids
+/// with [`crate::fxhash`]).
+type InternTable = std::collections::HashMap<Op, Term, RandomState>; // lint-exempt: parsed keys
+
 /// The global interner, sharded by structural hash so concurrent term
 /// construction from worker threads does not serialize on one lock. Ids are
 /// allocated from a single atomic counter, so they stay globally unique but
@@ -208,14 +214,14 @@ const INTERNER_SHARDS: usize = 16;
 /// determinism-sensitive ordering goes through [`Term::structural_cmp`]
 /// instead.
 struct Interner {
-    shards: [Mutex<HashMap<Op, Term>>; INTERNER_SHARDS],
+    shards: [Mutex<InternTable>; INTERNER_SHARDS],
     next_id: AtomicU64,
 }
 
 fn interner() -> &'static Interner {
     static INTERNER: OnceLock<Interner> = OnceLock::new();
     INTERNER.get_or_init(|| Interner {
-        shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
+        shards: std::array::from_fn(|_| Mutex::new(InternTable::default())),
         next_id: AtomicU64::new(0),
     })
 }
@@ -331,21 +337,21 @@ impl Term {
         // normal operation, and the map is only a cache of canonical nodes —
         // recovering beats aborting every thread that touches the interner.
         let mut table = shard.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(t) = table.get(&op) {
-            return t.clone();
-        }
-        let (dag_ops, vsig) = Self::summarize(&op, shash);
+        let slot = match table.entry(op) {
+            Entry::Occupied(hit) => return hit.get().clone(),
+            Entry::Vacant(slot) => slot,
+        };
+        let (dag_ops, vsig) = Self::summarize(slot.key(), shash);
         let id = interner.next_id.fetch_add(1, Ordering::Relaxed);
         let t = Term(Arc::new(TermData {
-            op: op.clone(),
+            op: slot.key().clone(),
             sort,
             id,
             dag_ops,
             shash,
             vsig,
         }));
-        table.insert(op, t.clone());
-        t
+        slot.insert(t).clone()
     }
 
     /// Approximate DAG op count and variable signature of a new node.
@@ -360,7 +366,7 @@ impl Term {
         match op {
             Op::BvConst { .. } | Op::BoolConst(_) => (0, 0),
             Op::BvVar { .. } => (0, 1 << (shash & 63)),
-            _ => op.children().iter().fold((1, 0), |(ops, sig), c| {
+            _ => op.children().fold((1, 0), |(ops, sig), c| {
                 (ops.saturating_add(c.0.dag_ops), sig | c.0.vsig)
             }),
         }
@@ -469,13 +475,8 @@ impl Term {
         if scalars != O::Equal {
             return scalars;
         }
-        let ca = a.children();
-        let cb = b.children();
-        match ca.len().cmp(&cb.len()) {
-            O::Equal => {}
-            o => return o,
-        }
-        for (x, y) in ca.iter().zip(&cb) {
+        // Equal ranks: the same variant, so the same number of children.
+        for (x, y) in a.children().zip(b.children()) {
             match x.structural_cmp(y) {
                 O::Equal => {}
                 o => return o,
@@ -515,20 +516,24 @@ impl Term {
 }
 
 impl Op {
-    /// Child terms, in order.
-    pub fn children(&self) -> Vec<&Term> {
-        match self {
-            Op::BvConst { .. } | Op::BvVar { .. } | Op::BoolConst(_) => vec![],
-            Op::BvUnary(_, a) | Op::BvExtract { arg: a, .. } | Op::Not(a) => vec![a],
+    /// Child terms, in declaration order. Structural hashes and
+    /// [`Term::structural_cmp`] depend on this order. The iterator holds
+    /// at most three references inline, so a walk allocates nothing per
+    /// node.
+    pub fn children(&self) -> impl Iterator<Item = &Term> {
+        let kids = match self {
+            Op::BvConst { .. } | Op::BvVar { .. } | Op::BoolConst(_) => [None; 3],
+            Op::BvUnary(_, a) | Op::BvExtract { arg: a, .. } | Op::Not(a) => [Some(a), None, None],
             Op::BvBin(_, a, b)
             | Op::BvConcat(a, b)
             | Op::And(a, b)
             | Op::Or(a, b)
             | Op::Implies(a, b)
             | Op::Iff(a, b)
-            | Op::Cmp(_, a, b) => vec![a, b],
-            Op::BvIte(c, t, e) => vec![c, t, e],
-        }
+            | Op::Cmp(_, a, b) => [Some(a), Some(b), None],
+            Op::BvIte(c, t, e) => [Some(c), Some(t), Some(e)],
+        };
+        kids.into_iter().flatten()
     }
 }
 
@@ -681,6 +686,54 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn children_yield_operands_in_declaration_order() {
+        // Structural hashes and `structural_cmp` fold the children in this
+        // order, so it is part of every term's identity across processes.
+        let (x, y, z) = (
+            Term::var("ch.x", 8),
+            Term::var("ch.y", 8),
+            Term::var("ch.z", 8),
+        );
+        let (p, q) = (x.clone().ult(y.clone()), y.clone().ult(z.clone()));
+        let cases: Vec<(Op, Vec<&Term>)> = vec![
+            (Op::BvConst { width: 8, value: 1 }, vec![]),
+            (
+                Op::BvVar {
+                    name: "ch.x".into(),
+                    width: 8,
+                },
+                vec![],
+            ),
+            (Op::BvUnary(BvUnaryOp::Neg, x.clone()), vec![&x]),
+            (Op::BvBin(BvBinOp::Sub, x.clone(), y.clone()), vec![&x, &y]),
+            (Op::BvConcat(y.clone(), x.clone()), vec![&y, &x]),
+            (
+                Op::BvExtract {
+                    hi: 3,
+                    lo: 1,
+                    arg: z.clone(),
+                },
+                vec![&z],
+            ),
+            (Op::BvIte(p.clone(), x.clone(), y.clone()), vec![&p, &x, &y]),
+            (Op::BoolConst(true), vec![]),
+            (Op::Not(p.clone()), vec![&p]),
+            (Op::And(p.clone(), q.clone()), vec![&p, &q]),
+            (Op::Or(q.clone(), p.clone()), vec![&q, &p]),
+            (Op::Implies(p.clone(), q.clone()), vec![&p, &q]),
+            (Op::Iff(q.clone(), p.clone()), vec![&q, &p]),
+            (Op::Cmp(CmpOp::Slt, z.clone(), x.clone()), vec![&z, &x]),
+        ];
+        for (op, want) in &cases {
+            assert_eq!(op.children().collect::<Vec<_>>(), *want, "{op:?}");
+        }
+        // One case per variant: `op_rank` numbers the variants densely.
+        let ranks: std::collections::BTreeSet<u64> =
+            cases.iter().map(|(op, _)| op_rank(op)).collect();
+        assert_eq!(ranks, (0..cases.len() as u64).collect());
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! `oracle.rs` builds its formulas plus `var == const` pins that bind,
 //! chain and clash.
 
+use soft_smt::fxhash::FxHashMap;
 use soft_smt::simplify::{conjuncts, propagate_equalities, substitute, Preprocessed};
 use soft_smt::{BvBinOp, BvUnaryOp, CmpOp, Op, Term};
 use std::collections::HashMap;
@@ -219,13 +220,14 @@ fn substitute_matches_reference() {
     for case in 0..600u64 {
         let mut rng = Rng(0x5b57_0000 + case);
         let t = bool_term(&mut rng, 4);
-        let mut map = HashMap::new();
+        let mut map = FxHashMap::default();
         for _ in 0..rng.below(3) {
             map.insert(var(&mut rng), Term::bv_const(W, rng.below(16)));
         }
+        let std_map: HashMap<Term, Term> = map.clone().into_iter().collect();
         assert_eq!(
             substitute(&t, &map),
-            ref_substitute(&t, &map),
+            ref_substitute(&t, &std_map),
             "case {case}: {t}"
         );
     }

@@ -12,7 +12,7 @@
 //! including labels for code regions tests can never reach — so coverage
 //! percentages have an exact denominator.
 
-use std::collections::HashSet;
+use soft_smt::fxhash::FxHashSet;
 
 /// Static declaration of an agent's instrumented code regions.
 #[derive(Debug, Clone, Default)]
@@ -39,9 +39,9 @@ impl CoverageUniverse {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Coverage {
     /// Instruction blocks hit at least once.
-    pub blocks: HashSet<&'static str>,
+    pub blocks: FxHashSet<&'static str>,
     /// (site, direction) pairs hit at least once.
-    pub branches: HashSet<(&'static str, bool)>,
+    pub branches: FxHashSet<(&'static str, bool)>,
 }
 
 impl Coverage {
@@ -54,6 +54,12 @@ impl Coverage {
     pub fn merge(&mut self, other: &Coverage) {
         self.blocks.extend(other.blocks.iter().copied());
         self.branches.extend(other.branches.iter().copied());
+    }
+
+    /// Merge one finished path's coverage into this one.
+    pub fn merge_path(&mut self, path: &PathCoverage) {
+        self.blocks.extend(path.blocks.iter().copied());
+        self.branches.extend(path.branches.iter().copied());
     }
 
     /// Instruction coverage in percent relative to `universe`.
@@ -75,8 +81,8 @@ impl Coverage {
     /// Validate that every covered label exists in the universe; returns the
     /// offending labels. Catches typos between instrumentation and universe.
     pub fn validate(&self, universe: &CoverageUniverse) -> Vec<String> {
-        let blocks: HashSet<_> = universe.blocks.iter().copied().collect();
-        let sites: HashSet<_> = universe.branch_sites.iter().copied().collect();
+        let blocks: FxHashSet<_> = universe.blocks.iter().copied().collect();
+        let sites: FxHashSet<_> = universe.branch_sites.iter().copied().collect();
         let mut bad: Vec<String> = Vec::new();
         for b in &self.blocks {
             if !blocks.contains(b) {
@@ -91,6 +97,31 @@ impl Coverage {
         bad.sort();
         bad.dedup();
         bad
+    }
+}
+
+/// One finished path's coverage: the labels of a [`Coverage`], sorted
+/// into exact-size lists. An exploration keeps every path's coverage
+/// until it ends; kept as hash sets, their tables were 40% of an
+/// `eth_flow_mod` run's peak memory.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct PathCoverage {
+    /// Instruction blocks hit, sorted.
+    pub blocks: Box<[&'static str]>,
+    /// (site, direction) pairs hit, sorted.
+    pub branches: Box<[(&'static str, bool)]>,
+}
+
+impl From<Coverage> for PathCoverage {
+    fn from(c: Coverage) -> Self {
+        let mut blocks: Vec<_> = c.blocks.into_iter().collect();
+        blocks.sort_unstable();
+        let mut branches: Vec<_> = c.branches.into_iter().collect();
+        branches.sort_unstable();
+        PathCoverage {
+            blocks: blocks.into(),
+            branches: branches.into(),
+        }
     }
 }
 
@@ -126,6 +157,23 @@ mod tests {
         c1.merge(&c2);
         assert_eq!(c1.blocks.len(), 2);
         assert_eq!(c1.branches.len(), 1);
+    }
+
+    #[test]
+    fn path_coverage_sorts_the_labels_and_merges_back() {
+        let mut c = Coverage::new();
+        for b in ["c", "a", "b"] {
+            c.blocks.insert(b);
+        }
+        c.branches.insert(("s2", false));
+        c.branches.insert(("s1", true));
+        c.branches.insert(("s1", false));
+        let p = PathCoverage::from(c.clone());
+        assert_eq!(*p.blocks, ["a", "b", "c"]);
+        assert_eq!(*p.branches, [("s1", false), ("s1", true), ("s2", false)]);
+        let mut merged = Coverage::new();
+        merged.merge_path(&p);
+        assert_eq!(merged, c);
     }
 
     #[test]

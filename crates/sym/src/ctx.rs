@@ -9,7 +9,7 @@
 //! feasibility of both sides, schedules the flipped sibling, and continues.
 //! Semantically this is the "logical fork" of classic symbolic execution.
 
-use crate::coverage::Coverage;
+use crate::coverage::{Coverage, PathCoverage};
 use soft_smt::{SatResult, Solver, Term};
 use std::time::Instant;
 
@@ -254,7 +254,7 @@ impl<'e, Out> ExecCtx<'e, Out> {
                 decisions: self.decisions,
                 trace: self.trace,
                 outcome,
-                coverage: self.coverage,
+                coverage: self.coverage.into(),
                 over_approx: self.over_approx,
             },
             origin: self.prefix,
@@ -306,7 +306,7 @@ pub struct PathResult<Out> {
     /// How the path terminated.
     pub outcome: PathOutcome,
     /// Coverage recorded on this path.
-    pub coverage: Coverage,
+    pub coverage: PathCoverage,
     /// True if an Unknown solver verdict may have admitted an infeasible
     /// path (never observed with the default unlimited budget).
     pub over_approx: bool,

@@ -305,7 +305,7 @@ fn merge_finished<Out>(
     if fin.deadline_hit {
         stats.truncated = true;
     }
-    coverage.merge(&fin.result.coverage);
+    coverage.merge_path(&fin.result.coverage);
     paths.push(fin.result);
     for p in fin.pending {
         frontier.push(p);

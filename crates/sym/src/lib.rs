@@ -37,7 +37,7 @@ mod explorer;
 mod strategy;
 
 pub use buf::SymBuf;
-pub use coverage::{Coverage, CoverageUniverse};
+pub use coverage::{Coverage, CoverageUniverse, PathCoverage};
 pub use ctx::{ExecCtx, PathOutcome, PathResult, RunEnd, Stop};
 pub use explorer::{
     explore, explore_seeded, Exploration, ExplorationStats, ExplorerConfig, PathSink, ResumeSeed,

@@ -39,7 +39,7 @@ use soft::smt::{SatResult, SolverBudget};
 use soft::witness::{
     distill, reproduce_corpus, Corpus, CorpusEntry, DistillConfig, Status, DEFAULT_SEED,
 };
-use soft::{check_settings, run_session, AgentKind, SessionConfig};
+use soft::{check_settings, create_out_dir, run_session, AgentKind, SessionConfig};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -321,6 +321,10 @@ fn cmd_phase1(args: &[String]) -> ExitCode {
     // `<out><agent>_<test>.json` per combination. Each artifact's journal
     // is `<artifact>.wal` unless `--journal` names the single one's.
     let single = agents.len() == 1 && tests.len() == 1;
+    if let Err(e) = create_out_dir(&out) {
+        eprintln!("phase1: {e}");
+        return ExitCode::FAILURE;
+    }
     let artifact_path = |agent: &str, test: &str| {
         if single {
             out.clone()
@@ -1059,6 +1063,10 @@ fn cmd_distill(args: &[String]) -> ExitCode {
             paths.len()
         );
         return usage();
+    }
+    if let Err(e) = create_out_dir(&out) {
+        eprintln!("distill: {e}");
+        return ExitCode::FAILURE;
     }
     let opts = CheckOpts {
         jobs,

@@ -13,7 +13,8 @@ pub mod session;
 
 pub use serve::{agent_fingerprint, serve, ServeConfig};
 pub use session::{
-    check_settings, run_session, BaselineSeed, SessionConfig, SessionReport, TestOutcome,
+    check_settings, create_out_dir, run_session, BaselineSeed, SessionConfig, SessionReport,
+    TestOutcome,
 };
 pub use soft_fleet::{run_router, Ring, RouterConfig};
 pub use soft_serve::default_sigpipe;

@@ -187,20 +187,25 @@ pub fn check_settings(check: &CrosscheckConfig) -> String {
     )
 }
 
+/// Create the directory that files published under `out` land in: the
+/// parent of `{out}_`, so `out` may be one file's path or a prefix
+/// (`dir/` or `dir/name_`). Commands call this before any work, journal
+/// or not, so a run never explores only to fail at its first publish.
+pub fn create_out_dir(out: &str) -> Result<(), String> {
+    match Path::new(&format!("{out}_")).parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => {
+            std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))
+        }
+        _ => Ok(()),
+    }
+}
+
 /// Run the whole session: explore, group, crosscheck, and
 /// distill every configured test through one pipeline, publishing the
 /// same artifacts the phased commands would (modulo recorded wall-clock)
 /// for any `jobs` value.
 pub fn run_session(cfg: &SessionConfig) -> Result<SessionReport, String> {
-    // Every published file is `{out_prefix}<name>`, so they all land in
-    // the parent directory of `{out_prefix}_`. Create it up front,
-    // journal or not, so a run never explores only to fail at its first
-    // publish.
-    if let Some(dir) = Path::new(&format!("{}_", cfg.out_prefix)).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
-        }
-    }
+    create_out_dir(&cfg.out_prefix)?;
     let base_explorer = ExplorerConfig {
         solver_budget: cfg.solver_budget,
         seed: cfg.seed,

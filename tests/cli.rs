@@ -234,6 +234,45 @@ fn run_without_journal_creates_the_out_directory() {
 }
 
 #[test]
+fn phase1_and_distill_without_journal_create_the_out_directory() {
+    // As for `run`: without a journal nothing else creates the `--out`
+    // directory, so both commands did all their work and then failed to
+    // publish.
+    let dir = std::env::temp_dir().join(format!("soft_cli_nodir_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (a, b) = (dir.join("nodir/a.json"), dir.join("other/b.json"));
+    for (agent, path) in [("reference", &a), ("ovs", &b)] {
+        let (stdout, stderr, code) = run(&[
+            "phase1",
+            "--agent",
+            agent,
+            "--test",
+            "short_symb",
+            "--no-journal",
+            "--no-fsync",
+            "--out",
+            path.to_str().unwrap(),
+        ]);
+        assert_eq!(code, Some(0), "stderr: {stderr}");
+        assert!(stdout.contains(path.to_str().unwrap()), "{stdout}");
+        assert!(path.exists(), "missing artifact {}", path.display());
+    }
+    let corpus = dir.join("corpora/c.json");
+    let (stdout, stderr, code) = run(&[
+        "distill",
+        a.to_str().unwrap(),
+        b.to_str().unwrap(),
+        "--no-journal",
+        "--no-fsync",
+        "--out",
+        corpus.to_str().unwrap(),
+    ]);
+    assert!(matches!(code, Some(0) | Some(2)), "{stdout}{stderr}");
+    assert!(corpus.exists(), "missing corpus: {stdout}{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn run_flag_validation() {
     let (_, stderr, code) = run(&["run", "--test", "queue_config"]);
     assert_eq!(code, Some(1));
