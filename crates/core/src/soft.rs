@@ -3,9 +3,10 @@
 //! Ties together the two phases: (1) per-vendor symbolic execution of an
 //! agent over a test input (via `soft-harness`), and (2) grouping +
 //! crosschecking of the intermediate results. The phases communicate only
-//! through [`soft_harness::TestRunFile`] artifacts, so they can run on
-//! different machines, at different times, by different parties — the
-//! deployment model of §2.4.
+//! through phase-1 artifacts ([`soft_harness::encode_run`] writes one from
+//! a [`TestRun`], [`soft_harness::decode_run`] reads it back), so they can
+//! run on different machines, at different times, by different parties —
+//! the deployment model of §2.4.
 
 use crate::crosscheck::{crosscheck, CrosscheckConfig, CrosscheckResult};
 use crate::group::{group_paths, GroupError, GroupedResults};
@@ -58,20 +59,17 @@ impl Soft {
         run_test(agent, test, &self.explorer)
     }
 
-    /// Phase 1, shipped: the serializable artifact a vendor exports.
-    pub fn phase1_artifact(&self, agent: impl Into<AgentRef>, test: &TestCase) -> TestRunFile {
-        TestRunFile::from_run(&self.phase1(agent, test))
-    }
-
     /// Group a phase-1 run by output result.
     pub fn group(&self, run: &TestRun) -> Result<GroupedResults, GroupError> {
         group_paths(&run.agent, &run.test, &run.paths)
     }
 
-    /// Group a shipped phase-1 artifact (no agent access needed).
+    /// Kept only for softbench, which still groups through this name; the
+    /// benchmark refresh (ROADMAP item 5) moves it onto [`Soft::group`]
+    /// and deletes this.
+    #[doc(hidden)]
     pub fn group_artifact(&self, file: &TestRunFile) -> Result<GroupedResults, String> {
-        let paths = file.to_paths()?;
-        group_paths(&file.agent, &file.test, &paths).map_err(|e| e.to_string())
+        self.group(&file.0).map_err(|e| e.to_string())
     }
 
     /// Phase 2: find inconsistencies between two grouped result sets.

@@ -26,7 +26,6 @@
 use crate::input::TestCase;
 use crate::json::{self, Json};
 use crate::runner::{agent_program, summarize, TestRun};
-use crate::wire::EventFile;
 use soft_protocol::{normalize_trace, AgentRef, TraceEvent};
 use soft_smt::{Assignment, SatResult, SolverBudget};
 use soft_sym::{
@@ -552,8 +551,12 @@ struct RecordedPath {
     origin: Vec<bool>,
     outcome: &'static str,
     /// Normalized output, shared between all paths that referenced the
-    /// same `output` record.
-    events: Arc<Vec<EventFile>>,
+    /// same `output` record: its event array as the one event writer
+    /// lays it out. It stays text because decoding it on open would
+    /// intern the journaled terms before the replay builds them, and
+    /// interning order picks the operand order of commutative terms
+    /// (ROADMAP item 2): the resumed run would publish other bytes.
+    events: Arc<str>,
     cov: String,
     pending: Vec<(Vec<bool>, String)>,
 }
@@ -608,15 +611,11 @@ fn write_output_record(out: &mut String, unit: usize, oid: u64, events: &[TraceE
     out.push('}');
 }
 
-fn parse_output_record(v: &Json) -> Result<(u64, Vec<EventFile>), String> {
+fn parse_output_record(v: &Json) -> Result<(u64, Arc<str>), String> {
     let oid = v.field("oid")?.as_u64()?;
-    let events = v
-        .field("events")?
-        .as_array()?
-        .iter()
-        .map(EventFile::from_json_value)
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok((oid, events))
+    let events = v.field("events")?;
+    events.as_array()?;
+    Ok((oid, events.to_string().into()))
 }
 
 /// Serialize one freshly explored path for the journal. `oid` points at
@@ -656,7 +655,7 @@ fn path_record(
 
 fn parse_path_record(
     v: &Json,
-    outputs: &BTreeMap<u64, Arc<Vec<EventFile>>>,
+    outputs: &BTreeMap<u64, Arc<str>>,
 ) -> Result<(Vec<bool>, RecordedPath), String> {
     let decisions = bits_in(v.field("decisions")?)?;
     let origin = bits_in(v.field("origin")?)?;
@@ -676,7 +675,7 @@ fn parse_path_record(
                 .cloned()
                 .ok_or_else(|| format!("path references unknown output {oid}"))?
         }
-        None => Arc::new(Vec::new()),
+        None => Arc::from("[]"),
     };
     let pending = v
         .field("pending")?
@@ -741,6 +740,7 @@ fn validate_replay(
     }
     let by_decisions: BTreeMap<&[bool], &PathResult<soft_protocol::TraceEvent>> =
         paths.iter().map(|p| (p.decisions.as_slice(), p)).collect();
+    let mut replayed = String::new();
     for (decisions, rec) in recorded {
         let bits: String = decisions
             .iter()
@@ -757,10 +757,8 @@ fn validate_replay(
             )));
         }
         if !matches!(p.outcome, PathOutcome::Aborted(_)) {
-            let replayed: Vec<EventFile> = normalize_trace(&p.trace)
-                .iter()
-                .map(EventFile::from_event)
-                .collect();
+            replayed.clear();
+            crate::wire::write_events(&normalize_trace(&p.trace), &mut replayed);
             if replayed != *rec.events {
                 return Err(JournalError::Replay(format!(
                     "path [{bits}]: journaled output differs from replayed output"
@@ -1041,7 +1039,7 @@ impl SessionJournal {
         } else {
             (Vec::new(), fresh_journal(path, fingerprint, fsync)?)
         };
-        let mut outputs: BTreeMap<u64, Arc<Vec<EventFile>>> = BTreeMap::new();
+        let mut outputs: BTreeMap<u64, Arc<str>> = BTreeMap::new();
         let mut recovery = SessionRecovery {
             units: (0..n_units).map(|_| UnitRecovery::default()).collect(),
             verdicts: vec![Vec::new(); n_tests],
@@ -1075,7 +1073,7 @@ impl SessionJournal {
             match r.field("rec").and_then(Json::as_str) {
                 Ok("output") => {
                     let (oid, events) = parse_output_record(r).map_err(JournalError::Corrupt)?;
-                    outputs.insert(oid, Arc::new(events));
+                    outputs.insert(oid, events);
                 }
                 Ok("path") => {
                     let unit = unit_of(r, n_units)?;
@@ -1488,6 +1486,14 @@ mod tests {
         }
     }
 
+    /// Each explored path's condition and observed output.
+    fn paths(run: &TestRun) -> Vec<(&soft_smt::Term, &crate::ObservedOutput)> {
+        run.paths
+            .iter()
+            .map(|p| (&p.condition, &p.output))
+            .collect()
+    }
+
     #[test]
     fn durable_run_matches_plain_run() {
         let tests = suite::table1_suite();
@@ -1497,10 +1503,7 @@ mod tests {
         let plain = crate::run_test(agent, test, &cfg);
         let path = temp_path("fresh_run");
         let run = phase1_journaled(agent, test, &cfg, &path, false).unwrap();
-        assert_eq!(
-            crate::wire::TestRunFile::from_run(&run).paths,
-            crate::wire::TestRunFile::from_run(&plain).paths
-        );
+        assert_eq!(paths(&run), paths(&plain));
         fs::remove_file(&path).unwrap();
     }
 
@@ -1520,10 +1523,7 @@ mod tests {
             ..ExplorerConfig::default()
         };
         let resumed = phase1_journaled(agent, test, &cfg4, &path, true).unwrap();
-        assert_eq!(
-            crate::wire::TestRunFile::from_run(&first).paths,
-            crate::wire::TestRunFile::from_run(&resumed).paths
-        );
+        assert_eq!(paths(&first), paths(&resumed));
         assert_eq!(resumed.stats.fresh_branches, 0, "full replay must not fork");
         assert_eq!(fs::read(&path).unwrap(), journal_after_first);
         fs::remove_file(&path).unwrap();
@@ -1551,10 +1551,7 @@ mod tests {
         cut.extend_from_slice(&77u32.to_le_bytes()); // torn tail
         fs::write(&path, &cut).unwrap();
         let resumed = phase1_journaled(agent, test, &cfg, &path, true).unwrap();
-        assert_eq!(
-            crate::wire::TestRunFile::from_run(&reference).paths,
-            crate::wire::TestRunFile::from_run(&resumed).paths
-        );
+        assert_eq!(paths(&reference), paths(&resumed));
         // The journal is complete again: a further resume owes nothing.
         let raw = scan_records(&fs::read(&path).unwrap());
         assert!(!raw.dropped_tail);
@@ -1567,6 +1564,41 @@ mod tests {
             path_records,
             reference.paths.len() + reference.stats.aborted
         );
+        fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn resume_refuses_an_altered_output_record() {
+        let tests = suite::table1_suite();
+        let cfg = ExplorerConfig::default();
+        let path = temp_path("altered_output");
+        phase1_journaled(AgentKind::Reference, &tests[0], &cfg, &path, false).unwrap();
+        // Rewrite the journal well-framed, with the first output record's
+        // events replaced by an output no path produced.
+        let mut records = scan_records(&fs::read(&path).unwrap()).records;
+        let output = records
+            .iter_mut()
+            .find(|r| matches!(r.get("rec").and_then(|t| t.as_str().ok()), Some("output")))
+            .expect("an output record");
+        let Json::Object(fields) = output else {
+            panic!("record is an object")
+        };
+        let events = fields.iter_mut().find(|(k, _)| k == "events").unwrap();
+        events.1 = json::parse(
+            r#"[{"kind":"error","xid":"(c 32 12345)","etype":"(c 16 9)","code":"(c 16 9)"}]"#,
+        )
+        .unwrap();
+        let mut w = JournalWriter::new(fs::File::create(&path).unwrap(), false);
+        for r in &records {
+            w.append(r).unwrap();
+        }
+        match phase1_journaled(AgentKind::Reference, &tests[0], &cfg, &path, true) {
+            Err(JournalError::Replay(m)) => assert!(
+                m.contains("journaled output differs from replayed output"),
+                "{m}"
+            ),
+            other => panic!("expected a replay divergence, got {:?}", other.map(|_| ())),
+        }
         fs::remove_file(&path).unwrap();
     }
 

@@ -11,6 +11,8 @@
 //! shortest-roundtrip floats), so artifacts remain byte-stable across the
 //! switch.
 
+use std::borrow::Cow;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -189,13 +191,24 @@ pub(crate) fn write_string(s: &str, out: &mut String) {
 
 /// Parse a complete JSON document; trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<Json, String> {
+    parse_with(input, |p| p.value(0))
+}
+
+/// Read the document `input` with `read`, which starts at its first
+/// value; anything but whitespace after what `read` consumed is an error.
+/// The artifact reader streams through this instead of building a tree.
+pub(crate) fn parse_with<'a, T>(
+    input: &'a str,
+    read: impl FnOnce(&mut Parser<'a>) -> Result<T, String>,
+) -> Result<T, String> {
     let mut p = Parser {
         input,
         bytes: input.as_bytes(),
         pos: 0,
+        scratch: String::new(),
     };
     p.skip_ws();
-    let v = p.value(0)?;
+    let v = read(&mut p)?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
         return Err(format!("trailing characters at offset {}", p.pos));
@@ -203,13 +216,19 @@ pub fn parse(input: &str) -> Result<Json, String> {
     Ok(v)
 }
 
-/// Maximum nesting depth; the artifact schema needs 5.
+/// Maximum nesting depth; the artifact schema needs 7.
 const MAX_DEPTH: usize = 64;
 
-struct Parser<'a> {
+/// The tokenizer over one JSON document. [`Parser::value`] builds a
+/// [`Json`] tree; [`Parser::object_with`] and [`Parser::array_with`] hand
+/// each member to a callback instead, so a reader can decode straight
+/// into its own types.
+pub(crate) struct Parser<'a> {
     input: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Unescaped text of the last string [`Parser::str`] read.
+    scratch: String,
 }
 
 impl<'a> Parser<'a> {
@@ -236,14 +255,15 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<Json, String> {
+    /// The value at the cursor as a tree, `depth` containers deep.
+    pub(crate) fn value(&mut self, depth: usize) -> Result<Json, String> {
         if depth > MAX_DEPTH {
             return Err("nesting too deep".into());
         }
         match self.peek() {
             Some(b'{') => self.object(depth),
             Some(b'[') => self.array(depth),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b'"') => Ok(Json::Str(self.string()?.into_owned())),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'n') => self.literal("null", Json::Null),
@@ -251,6 +271,28 @@ impl<'a> Parser<'a> {
             Some(b) => Err(format!("unexpected '{}' at offset {}", b as char, self.pos)),
             None => Err("unexpected end of input".into()),
         }
+    }
+
+    /// The error for a value that is not a `want`: names what it is
+    /// instead, as [`Json`]'s accessors do.
+    fn mistyped(&mut self, want: &str, depth: usize) -> String {
+        match self.value(depth) {
+            Ok(v) => format!("expected {want}, got {}", v.kind_name()),
+            Err(e) => e,
+        }
+    }
+
+    /// The string at the cursor: a slice of the input, or of one reused
+    /// buffer if it holds escapes, so reading it allocates nothing.
+    pub(crate) fn str(&mut self, depth: usize) -> Result<&str, String> {
+        if self.peek() != Some(b'"') {
+            return Err(self.mistyped("string", depth));
+        }
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.clear();
+        let borrowed = self.string_into(&mut scratch)?;
+        self.scratch = scratch;
+        Ok(borrowed.unwrap_or(&self.scratch))
     }
 
     fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
@@ -262,13 +304,21 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self, depth: usize) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
+    /// Read the object at the cursor, calling `member` with each key and
+    /// the cursor on its value; `member` must consume the value.
+    pub(crate) fn object_with(
+        &mut self,
+        depth: usize,
+        mut member: impl FnMut(&mut Self, &str) -> Result<(), String>,
+    ) -> Result<(), String> {
+        if self.peek() != Some(b'{') {
+            return Err(self.mistyped("object", depth));
+        }
+        self.pos += 1;
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Object(pairs));
+            return Ok(());
         }
         loop {
             self.skip_ws();
@@ -276,54 +326,112 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let val = self.value(depth + 1)?;
-            pairs.push((key, val));
+            member(self, &key)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Json::Object(pairs));
+                    return Ok(());
                 }
                 _ => return Err(format!("expected ',' or '}}' at offset {}", self.pos)),
             }
         }
     }
 
-    fn array(&mut self, depth: usize) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
+    /// Read the array at the cursor, calling `item` with the cursor on
+    /// each element; `item` must consume the element.
+    pub(crate) fn array_with(
+        &mut self,
+        depth: usize,
+        mut item: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
+        if self.peek() != Some(b'[') {
+            return Err(self.mistyped("array", depth));
+        }
+        self.pos += 1;
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Json::Array(items));
+            return Ok(());
         }
         loop {
             self.skip_ws();
-            items.push(self.value(depth + 1)?);
+            item(self)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Json::Array(items));
+                    return Ok(());
                 }
                 _ => return Err(format!("expected ',' or ']' at offset {}", self.pos)),
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
+    fn object(&mut self, depth: usize) -> Result<Json, String> {
+        let mut pairs = Vec::new();
+        self.object_with(depth, |p, key| {
+            pairs.push((key.to_string(), p.value(depth + 1)?));
+            Ok(())
+        })?;
+        Ok(Json::Object(pairs))
+    }
+
+    fn array(&mut self, depth: usize) -> Result<Json, String> {
+        let mut items = Vec::new();
+        self.array_with(depth, |p| {
+            items.push(p.value(depth + 1)?);
+            Ok(())
+        })?;
+        Ok(Json::Array(items))
+    }
+
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
         let mut out = String::new();
+        Ok(match self.string_into(&mut out)? {
+            Some(s) => Cow::Borrowed(s),
+            None => Cow::Owned(out),
+        })
+    }
+
+    /// Read the string at the cursor: borrowed from the input if it has
+    /// no escapes, otherwise unescaped into `out` (which must be empty)
+    /// and `None`.
+    fn string_into(&mut self, out: &mut String) -> Result<Option<&'a str>, String> {
+        self.expect(b'"')?;
+        let mut escaped = false;
         loop {
+            // Bulk-copy the maximal span needing no unescaping — the
+            // overwhelmingly common case. The input is a &str (valid
+            // UTF-8 by construction) and spans begin and end at ASCII
+            // delimiters, so byte indexes are always char boundaries;
+            // non-ASCII bytes pass through untouched.
+            let start = self.pos;
+            while let Some(&b) = self.bytes.get(self.pos) {
+                if b == b'"' || b == b'\\' {
+                    break;
+                }
+                if b < 0x20 {
+                    return Err("unescaped control character in string".into());
+                }
+                self.pos += 1;
+            }
+            let span = &self.input[start..self.pos];
             match self.peek() {
                 None => return Err("unterminated string".into()),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    if !escaped {
+                        return Ok(Some(span));
+                    }
+                    out.push_str(span);
+                    return Ok(None);
                 }
-                Some(b'\\') => {
+                Some(_) => {
+                    escaped = true;
+                    out.push_str(span);
                     self.pos += 1;
                     let esc = self.peek().ok_or("unterminated escape")?;
                     self.pos += 1;
@@ -365,24 +473,6 @@ impl<'a> Parser<'a> {
                             return Err(format!("invalid escape '\\{}'", other as char));
                         }
                     }
-                }
-                Some(_) => {
-                    // Bulk-copy the maximal span needing no unescaping —
-                    // the overwhelmingly common case. The input is a &str
-                    // (valid UTF-8 by construction) and spans begin and end
-                    // at ASCII delimiters, so byte indexes are always char
-                    // boundaries; non-ASCII bytes pass through untouched.
-                    let start = self.pos;
-                    while let Some(&b) = self.bytes.get(self.pos) {
-                        if b == b'"' || b == b'\\' {
-                            break;
-                        }
-                        if b < 0x20 {
-                            return Err("unescaped control character in string".into());
-                        }
-                        self.pos += 1;
-                    }
-                    out.push_str(&self.input[start..self.pos]);
                 }
             }
         }

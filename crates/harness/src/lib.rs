@@ -32,4 +32,4 @@ pub use proto::JobSpec;
 pub use recorded::{symbolize_frame, RecordedTrace, Symbolize};
 pub use runner::{run_matrix, run_test, ObservedOutput, PathRecord, TestRun};
 pub use store::{job_key, logical_key, ResultStore, StoreEntry};
-pub use wire::{encode_run, TestRunFile};
+pub use wire::{decode_run, encode_run, TestRunFile};

@@ -293,7 +293,7 @@ impl<'a> Parser<'a> {
                 let hi: u32 = self.number()?;
                 let lo: u32 = self.number()?;
                 let a = self.term()?;
-                if hi < lo || hi >= a.width() {
+                if !a.sort().is_bv() || hi < lo || hi >= a.width() {
                     return self.err("bad extract bounds");
                 }
                 Ok(a.extract(hi, lo))
@@ -401,6 +401,7 @@ mod tests {
         assert!(from_wire("(c 8 1) junk").is_err());
         assert!(from_wire("(c 99 1)").is_err());
         assert!(from_wire("(extract 9 0 (v \"x\" 8))").is_err());
+        assert!(from_wire("(extract 0 0 true)").is_err());
         assert!(from_wire("(").is_err());
         assert!(from_wire("").is_err());
     }

@@ -9,7 +9,7 @@
 
 use soft::core::report::{classify, dedupe, describe, reproduce};
 use soft::core::Soft;
-use soft::harness::suite;
+use soft::harness::{decode_run, encode_run, suite};
 use soft::AgentKind;
 use std::fs;
 use std::time::Instant;
@@ -27,15 +27,15 @@ fn main() {
     for test in &tests {
         for kind in [AgentKind::Reference, AgentKind::OpenVSwitch] {
             let t0 = Instant::now();
-            let artifact = soft.phase1_artifact(kind, test);
+            let run = soft.phase1(kind, test);
             let path = dir.join(format!("{}_{}.json", kind.id(), test.id));
-            soft::harness::atomic_write(&path, artifact.to_json().as_bytes(), true)
+            soft::harness::atomic_write(&path, encode_run(&run).as_bytes(), true)
                 .expect("write artifact");
             println!(
                 "  {:<12} {:<13} {:>6} paths  {:>9.2?}  -> {}",
                 test.id,
                 kind.id(),
-                artifact.paths.len(),
+                run.paths.len(),
                 t0.elapsed(),
                 path.display()
             );
@@ -48,10 +48,10 @@ fn main() {
     for test in &tests {
         let read = |k: AgentKind| {
             let p = dir.join(format!("{}_{}.json", k.id(), test.id));
-            soft::harness::TestRunFile::from_json(&fs::read_to_string(p).unwrap()).unwrap()
+            decode_run(&fs::read_to_string(p).unwrap()).unwrap()
         };
-        let ga = soft.group_artifact(&read(AgentKind::Reference)).unwrap();
-        let gb = soft.group_artifact(&read(AgentKind::OpenVSwitch)).unwrap();
+        let ga = soft.group(&read(AgentKind::Reference)).unwrap();
+        let gb = soft.group(&read(AgentKind::OpenVSwitch)).unwrap();
         let t0 = Instant::now();
         let result = soft.phase2(&ga, &gb);
         let causes = dedupe(&result.inconsistencies);

@@ -31,8 +31,8 @@ use soft::core::{crosscheck_durable, replay, CheckSeeds, CrosscheckConfig, Group
 use soft::fleet::job::{agent_by_name, protocol_by_id};
 use soft::harness::json::Json;
 use soft::harness::{
-    atomic_write, check_fingerprint, encode_run, phase1_fingerprint, run_matrix, run_test,
-    run_unit_durable, JournalError, SessionJournal, TestCase, TestRun, TestRunFile,
+    atomic_write, check_fingerprint, decode_run, encode_run, phase1_fingerprint, run_matrix,
+    run_test, run_unit_durable, JournalError, SessionJournal, TestCase, TestRun,
 };
 use soft::protocol::{AgentRef, Protocol};
 use soft::smt::{SatResult, SolverBudget};
@@ -518,9 +518,16 @@ fn cmd_run(args: &[String]) -> ExitCode {
     }
 }
 
-fn load_artifact(path: &str) -> Result<TestRunFile, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    TestRunFile::from_json(&text).map_err(|e| format!("cannot parse {path}: {e}"))
+fn read_artifact(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
+}
+
+/// Decode and group the artifact `text` read from `path`, keeping the
+/// run's truncation flag; the decoded run is dropped once grouped.
+fn group_text(path: &str, text: &str) -> Result<(GroupedResults, bool), String> {
+    let run = decode_run(text).map_err(|e| format!("cannot parse {path}: {e}"))?;
+    let grouped = Soft::new().group(&run).map_err(|e| e.to_string())?;
+    Ok((grouped, run.stats.truncated))
 }
 
 /// How a crosscheck should run: parallelism, budget, escalation ladder,
@@ -540,10 +547,10 @@ struct CheckOpts {
 /// commands (report, distill) can reuse the grouped conditions.
 struct CheckedPair {
     result: soft::core::CrosscheckResult,
-    file_a: TestRunFile,
-    file_b: TestRunFile,
     grouped_a: GroupedResults,
     grouped_b: GroupedResults,
+    /// Either artifact's exploration was truncated.
+    truncated: bool,
 }
 
 fn crosscheck_artifacts(
@@ -551,33 +558,35 @@ fn crosscheck_artifacts(
     b_path: &str,
     opts: &CheckOpts,
 ) -> Result<CheckedPair, String> {
-    let a_text =
-        std::fs::read_to_string(a_path).map_err(|e| format!("cannot read {a_path}: {e}"))?;
-    let b_text =
-        std::fs::read_to_string(b_path).map_err(|e| format!("cannot read {b_path}: {e}"))?;
-    let fa = TestRunFile::from_json(&a_text).map_err(|e| format!("cannot parse {a_path}: {e}"))?;
-    let fb = TestRunFile::from_json(&b_text).map_err(|e| format!("cannot parse {b_path}: {e}"))?;
-    if fa.test != fb.test {
-        return Err(format!(
-            "artifacts are for different tests: '{}' vs '{}'",
-            fa.test, fb.test
-        ));
-    }
-    let soft = Soft::new();
-    let ga = soft.group_artifact(&fa)?;
-    let gb = soft.group_artifact(&fb)?;
+    let a_text = read_artifact(a_path)?;
+    let b_text = read_artifact(b_path)?;
     let cfg = CrosscheckConfig {
         solver_budget: opts.budget,
         jobs: opts.jobs.max(1),
         retry_rungs: opts.retry_rungs,
         ..Default::default()
     };
-    let result = match &opts.journal {
+    // The journal is keyed to the exact artifact bytes and solver
+    // settings: any change invalidates the recorded verdicts.
+    let journal = opts.journal.as_ref().map(|jpath| {
+        let fp = check_fingerprint(&a_text, &b_text, &check_settings(&cfg));
+        (jpath, fp)
+    });
+    // Each text is dropped once grouped, so the crosscheck holds only the
+    // two grouped results.
+    let (ga, truncated_a) = group_text(a_path, &a_text)?;
+    drop(a_text);
+    let (gb, truncated_b) = group_text(b_path, &b_text)?;
+    drop(b_text);
+    if ga.test != gb.test {
+        return Err(format!(
+            "artifacts are for different tests: '{}' vs '{}'",
+            ga.test, gb.test
+        ));
+    }
+    let result = match journal {
         None => crosscheck_durable(&ga, &gb, &cfg, None, None),
-        Some(jpath) => {
-            // The journal is keyed to the exact artifact bytes and solver
-            // settings: any change invalidates the recorded verdicts.
-            let fp = check_fingerprint(&a_text, &b_text, &check_settings(&cfg));
+        Some((jpath, fp)) => {
             let (journal, recovery) =
                 SessionJournal::open(jpath, opts.resume, opts.fsync, &fp, 0, 1)
                     .map_err(|e| e.to_string())?;
@@ -597,10 +606,9 @@ fn crosscheck_artifacts(
     };
     Ok(CheckedPair {
         result,
-        file_a: fa,
-        file_b: fb,
         grouped_a: ga,
         grouped_b: gb,
+        truncated: truncated_a || truncated_b,
     })
 }
 
@@ -681,17 +689,13 @@ fn positional<'a>(cmd: &str, args: &'a [String]) -> Vec<&'a String> {
 
 /// The exit code for a finished crosscheck, by severity: divergences found
 /// beats undecided pairs beats truncated inputs beats clean.
-fn verdict_exit_code(
-    result: &soft::core::CrosscheckResult,
-    fa: &TestRunFile,
-    fb: &TestRunFile,
-) -> ExitCode {
+fn verdict_exit_code(result: &soft::core::CrosscheckResult, truncated: bool) -> ExitCode {
     if !result.inconsistencies.is_empty() {
         // Non-zero exit like a linter: divergences found.
         ExitCode::from(EXIT_INCONSISTENT)
     } else if !result.unverified.is_empty() {
         ExitCode::from(EXIT_UNVERIFIED)
-    } else if fa.truncated || fb.truncated {
+    } else if truncated {
         ExitCode::from(EXIT_TRUNCATED)
     } else {
         ExitCode::SUCCESS
@@ -727,15 +731,15 @@ fn cmd_check(args: &[String]) -> ExitCode {
     match crosscheck_artifacts(paths[0], paths[1], &opts) {
         Ok(CheckedPair {
             result,
-            file_a: fa,
-            file_b: fb,
-            ..
+            grouped_a: ga,
+            grouped_b: gb,
+            truncated,
         }) => {
             println!(
                 "{} vs {} on '{}': {} queries, {} inconsistencies, {} unverified",
-                fa.agent,
-                fb.agent,
-                fa.test,
+                ga.agent,
+                gb.agent,
+                ga.test,
                 result.queries,
                 result.inconsistencies.len(),
                 result.unverified.len()
@@ -746,12 +750,12 @@ fn cmd_check(args: &[String]) -> ExitCode {
                     result.resolved_on_retry
                 );
             }
-            if fa.truncated || fb.truncated {
+            if truncated {
                 eprintln!(
                     "check: input artifact(s) truncated — verdict covers part of the input space"
                 );
             }
-            verdict_exit_code(&result, &fa, &fb)
+            verdict_exit_code(&result, truncated)
         }
         Err(e) => {
             eprintln!("check: {e}");
@@ -866,7 +870,7 @@ fn cmd_report(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let (result, fa, fb) = (&checked.result, &checked.file_a, &checked.file_b);
+    let (result, fa, fb) = (&checked.result, &checked.grouped_a, &checked.grouped_b);
     let test = OF10.find_test(&fa.test);
     let agents = (
         agent_by_name(&OF10, &fa.agent),
@@ -1043,7 +1047,7 @@ fn cmd_report(args: &[String]) -> ExitCode {
             }
         }
     }
-    verdict_exit_code(result, fa, fb)
+    verdict_exit_code(result, checked.truncated)
 }
 
 fn cmd_distill(args: &[String]) -> ExitCode {
@@ -1090,7 +1094,7 @@ fn cmd_distill(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let (result, fa, fb) = (&checked.result, &checked.file_a, &checked.file_b);
+    let (result, fa, fb) = (&checked.result, &checked.grouped_a, &checked.grouped_b);
     let Some(test) = OF10.find_test(&fa.test) else {
         eprintln!("distill: unknown test '{}' (see `soft tests`)", fa.test);
         return ExitCode::FAILURE;
@@ -1143,7 +1147,7 @@ fn cmd_distill(args: &[String]) -> ExitCode {
         return ExitCode::FAILURE;
     }
     println!("{out}");
-    verdict_exit_code(result, fa, fb)
+    verdict_exit_code(result, checked.truncated)
 }
 
 fn cmd_repro(args: &[String]) -> ExitCode {
@@ -1483,25 +1487,18 @@ fn cmd_regress(args: &[String]) -> ExitCode {
         );
         return usage();
     }
-    let (fa, fb) = match (load_artifact(paths[0]), load_artifact(paths[1])) {
-        (Ok(a), Ok(b)) => (a, b),
+    let load = |path: &str| read_artifact(path).and_then(|text| group_text(path, &text));
+    let (ga, gb) = match (load(paths[0]), load(paths[1])) {
+        (Ok((a, _)), Ok((b, _))) => (a, b),
         (Err(e), _) | (_, Err(e)) => {
             eprintln!("regress: {e}");
             return ExitCode::FAILURE;
         }
     };
-    if fa.test != fb.test {
+    if ga.test != gb.test {
         eprintln!("regress: artifacts are for different tests");
         return ExitCode::FAILURE;
     }
-    let soft = Soft::new();
-    let (ga, gb) = match (soft.group_artifact(&fa), soft.group_artifact(&fb)) {
-        (Ok(a), Ok(b)) => (a, b),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("regress: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
     let report = soft::core::regression::regression_check(
         &ga,
         &gb,
@@ -1509,9 +1506,9 @@ fn cmd_regress(args: &[String]) -> ExitCode {
     );
     println!(
         "baseline {} vs candidate {} on '{}': +{} output classes, -{} classes, {} shifted subspaces",
-        fa.agent,
-        fb.agent,
-        fa.test,
+        ga.agent,
+        gb.agent,
+        ga.test,
         report.new_outputs.len(),
         report.removed_outputs.len(),
         report.shifts.len()

@@ -36,7 +36,7 @@ use soft_harness::journal::{
     UnitRecovery, VerdictRec,
 };
 use soft_harness::json::Json;
-use soft_harness::{encode_run, run_test, TestCase, TestRun, TestRunFile};
+use soft_harness::{decode_run, encode_run, run_test, TestCase, TestRun};
 use soft_protocol::AgentRef;
 use soft_smt::{SatResult, SolverBudget};
 use soft_sym::ExplorerConfig;
@@ -408,18 +408,13 @@ fn run_one_test(
     let mut seeded_pairs = 0usize;
     let mut seeded_recs: Vec<VerdictRec> = Vec::new();
     if let Some(base) = cfg.baseline.as_ref().filter(|_| cfg.tests.len() == 1) {
-        let base_a = TestRunFile::from_json(&base.artifact_a)
-            .map_err(|e| format!("baseline artifact A: {e}"))
-            .and_then(|f| {
-                soft.group_artifact(&f)
-                    .map_err(|e| format!("baseline artifact A: {e}"))
-            })?;
-        let base_b = TestRunFile::from_json(&base.artifact_b)
-            .map_err(|e| format!("baseline artifact B: {e}"))
-            .and_then(|f| {
-                soft.group_artifact(&f)
-                    .map_err(|e| format!("baseline artifact B: {e}"))
-            })?;
+        let group_base = |text: &str, side: &str| {
+            decode_run(text)
+                .and_then(|run| soft.group(&run).map_err(|e| e.to_string()))
+                .map_err(|e| format!("baseline artifact {side}: {e}"))
+        };
+        let base_a = group_base(&base.artifact_a, "A")?;
+        let base_b = group_base(&base.artifact_b, "B")?;
         if base_a.test == test.id && base_b.test == test.id {
             let map_a = condition_diff(&base_a, &grouped_a).baseline_to_current();
             let map_b = condition_diff(&base_b, &grouped_b).baseline_to_current();

@@ -364,6 +364,56 @@ fn check_rejects_corrupt_artifacts() {
 }
 
 #[test]
+fn regress_compares_artifacts_of_one_test() {
+    let dir = std::env::temp_dir().join(format!("soft_cli_regress_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let art = |agent: &str, test: &str| {
+        let path = dir.join(format!("{agent}_{test}.json"));
+        let out = path.to_str().unwrap();
+        let args = ["phase1", "--agent", agent, "--test", test, "--out", out];
+        let (_, stderr, code) = run(&[&args[..], &["--no-journal"]].concat());
+        assert_eq!(code, Some(0), "phase1: {stderr}");
+        path.to_str().unwrap().to_string()
+    };
+    let (reference, ovs) = (art("reference", "queue_config"), art("ovs", "queue_config"));
+
+    let (stdout, _, code) = run(&["regress", &reference, &reference]);
+    assert_eq!(code, Some(0));
+    assert_eq!(
+        stdout,
+        "baseline reference vs candidate reference on 'queue_config': +0 output classes, \
+         -0 classes, 0 shifted subspaces\nclean\n"
+    );
+    let (stdout, _, code) = run(&["regress", &reference, &ovs]);
+    assert_eq!(code, Some(2));
+    let mut lines = stdout.lines();
+    assert_eq!(
+        lines.next(),
+        Some(
+            "baseline reference vs candidate ovs on 'queue_config': +0 output classes, \
+             -1 classes, 1 shifted subspaces"
+        )
+    );
+    assert_eq!(
+        lines.next(),
+        Some("  [queue_config] reference vs ovs: agent terminates with an error")
+    );
+
+    let (_, stderr, code) = run(&["regress", &reference, &art("ovs", "short_symb")]);
+    assert_eq!(code, Some(1));
+    assert!(stderr.contains("different tests"), "stderr: {stderr}");
+
+    let corrupt = dir.join("corrupt.json");
+    let text = std::fs::read_to_string(&ovs).unwrap();
+    std::fs::write(&corrupt, &text[..text.len() / 2]).unwrap();
+    let (_, stderr, code) = run(&["regress", &reference, corrupt.to_str().unwrap()]);
+    assert_eq!(code, Some(1));
+    assert!(stderr.contains("cannot parse"), "stderr: {stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn distill_resume_reuses_check_verdicts() {
     let dir = std::env::temp_dir().join(format!("soft_cli_distill_resume_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

@@ -5,17 +5,18 @@
 
 use soft::core::report::{classify, DivergenceKind};
 use soft::core::{group_paths, CrosscheckConfig, Soft};
-use soft::harness::{run_test, suite, ObservedOutput, PathRecord, TestRunFile};
+use soft::harness::{encode_run, run_test, suite, ObservedOutput, PathRecord, TestRun};
 use soft::protocol::TraceEvent;
 use soft::smt::{SatResult, Solver, SolverBudget, Term, VerdictCache};
 use soft::sym::ExplorerConfig;
 use soft::AgentKind;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Artifact with the timing field zeroed so equality sees only content.
-fn canonical(mut f: TestRunFile) -> TestRunFile {
-    f.wall_ms = 0;
-    f
+fn canonical(mut run: TestRun) -> String {
+    run.wall = Duration::ZERO;
+    encode_run(&run)
 }
 
 #[test]
@@ -82,18 +83,17 @@ fn artifacts_deterministic_across_jobs_with_crashes() {
     // The shipped artifact must be byte-identical whether the exploration
     // that caught the panic ran on one worker or many.
     let test = suite::packet_out();
-    let seq = canonical(Soft::new().phase1_artifact(AgentKind::Panicky, &test));
-    assert!(seq.paths.iter().any(|p| p.crashed));
-    let seq_json = seq.to_json();
+    let seq = Soft::new().phase1(AgentKind::Panicky, &test);
+    assert!(seq.paths.iter().any(|p| p.output.crashed));
+    let seq_json = canonical(seq);
     for jobs in [2, 4] {
         let par = canonical(
             Soft::new()
                 .with_jobs(jobs)
-                .phase1_artifact(AgentKind::Panicky, &test),
+                .phase1(AgentKind::Panicky, &test),
         );
         assert_eq!(
-            seq_json,
-            par.to_json(),
+            seq_json, par,
             "artifact differs between jobs=1 and jobs={jobs}"
         );
     }

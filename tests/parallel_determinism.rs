@@ -6,22 +6,23 @@
 //! ones produced on a laptop.
 
 use soft::core::Soft;
-use soft::harness::{suite, TestRunFile};
+use soft::harness::{encode_run, suite, TestRun};
 use soft::AgentKind;
+use std::time::Duration;
 
 /// Artifact with the timing field zeroed so equality sees only content.
-fn canonical(mut f: TestRunFile) -> TestRunFile {
-    f.wall_ms = 0;
-    f
+fn canonical(mut run: TestRun) -> String {
+    run.wall = Duration::ZERO;
+    encode_run(&run)
 }
 
 #[test]
-fn phase1_artifact_identical_across_jobs() {
+fn explored_artifact_identical_across_jobs() {
     let test = suite::packet_out();
     for agent in [AgentKind::Reference, AgentKind::OpenVSwitch] {
-        let seq = canonical(Soft::new().phase1_artifact(agent, &test));
+        let seq = canonical(Soft::new().phase1(agent, &test));
         for jobs in [2, 4] {
-            let par = canonical(Soft::new().with_jobs(jobs).phase1_artifact(agent, &test));
+            let par = canonical(Soft::new().with_jobs(jobs).phase1(agent, &test));
             assert_eq!(
                 seq,
                 par,
@@ -33,16 +34,11 @@ fn phase1_artifact_identical_across_jobs() {
 }
 
 #[test]
-fn phase1_artifact_json_identical_across_jobs() {
+fn explored_artifact_json_identical_across_jobs() {
     // Byte-level check on the wire form: what a vendor actually ships.
     let test = suite::queue_config();
-    let seq = canonical(Soft::new().phase1_artifact(AgentKind::Reference, &test)).to_json();
-    let par = canonical(
-        Soft::new()
-            .with_jobs(4)
-            .phase1_artifact(AgentKind::Reference, &test),
-    )
-    .to_json();
+    let seq = canonical(Soft::new().phase1(AgentKind::Reference, &test));
+    let par = canonical(Soft::new().with_jobs(4).phase1(AgentKind::Reference, &test));
     assert_eq!(seq, par);
 }
 

@@ -8,7 +8,7 @@
 //! freedom leaks into the published bytes.
 
 use soft::core::{crosscheck, CrosscheckConfig};
-use soft::harness::{run_test, suite, TestCase, TestRunFile};
+use soft::harness::{decode_run, encode_run, run_test, suite, TestCase};
 use soft::smt::{SatResult, SolverBudget};
 use soft::sym::ExplorerConfig;
 use soft::witness::{distill, DistillConfig};
@@ -54,14 +54,14 @@ fn phased(seed: u64, jobs: usize) -> (String, String, String) {
     };
     let run_a = run_test(AgentKind::Reference, &test, &explorer);
     let run_b = run_test(AgentKind::OpenVSwitch, &test, &explorer);
-    let text_a = TestRunFile::from_run(&run_a).to_json();
-    let text_b = TestRunFile::from_run(&run_b).to_json();
+    let text_a = encode_run(&run_a);
+    let text_b = encode_run(&run_b);
     let soft = soft::Soft::new();
     let ga = soft
-        .group_artifact(&TestRunFile::from_json(&text_a).expect("parse A"))
+        .group(&decode_run(&text_a).expect("parse A"))
         .expect("group A");
     let gb = soft
-        .group_artifact(&TestRunFile::from_json(&text_b).expect("parse B"))
+        .group(&decode_run(&text_b).expect("parse B"))
         .expect("group B");
     let check = CrosscheckConfig {
         solver_budget: SolverBudget::unlimited(),
