@@ -24,7 +24,7 @@
 //! a reader never observes a half-written artifact.
 
 use crate::input::TestCase;
-use crate::json::{self, Json};
+use crate::json::Json;
 use crate::runner::{agent_program, summarize, TestRun};
 use soft_protocol::{normalize_trace, AgentRef, TraceEvent};
 use soft_smt::{Assignment, SatResult, SolverBudget};
@@ -37,7 +37,6 @@ use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Duration;
 
 /// Recover the guarded data even if a sibling worker panicked while
 /// holding the lock (same policy as the runner: slot-wise writes keep a
@@ -213,10 +212,6 @@ fn dir_sync_refused(err: &io::Error) -> bool {
 // ---------------------------------------------------------------------------
 // Record framing.
 
-/// Sanity bound on a single record; journals hold per-path metadata, so
-/// anything larger than this is framing damage, not data.
-const MAX_RECORD_LEN: u32 = 64 * 1024 * 1024;
-
 /// Append-only journal file handle.
 pub struct JournalWriter {
     file: fs::File,
@@ -295,58 +290,27 @@ struct RawRecovery {
 }
 
 /// Scan the journal bytes, stopping at the first torn or corrupted
-/// frame. Everything before the damage is returned; the damage itself
-/// is reported, not fatal — a torn tail is the *expected* shape of a
-/// crash mid-append.
+/// frame. Records are framed exactly like serve messages, so they are
+/// read by the one frame reader, [`crate::proto::read_frame`]: a torn
+/// header or payload, a checksum mismatch, non-UTF-8 text, unparseable
+/// JSON and a length over the frame cap all end the scan. Everything
+/// before the damage is returned; the damage itself is reported, not
+/// fatal — a torn tail is the *expected* shape of a crash mid-append.
 fn scan_records(bytes: &[u8]) -> RawRecovery {
     let mut records = Vec::new();
-    let mut off = 0usize;
+    let mut rest = bytes;
     loop {
-        if bytes.len() - off < 8 {
-            return RawRecovery {
-                records,
-                valid_len: off as u64,
-                dropped_tail: off < bytes.len(),
-            };
-        }
-        let len = u32::from_le_bytes(bytes[off..off + 4].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_le_bytes(bytes[off + 4..off + 8].try_into().expect("4 bytes"));
-        if len as u32 > MAX_RECORD_LEN || bytes.len() - off - 8 < len {
-            return RawRecovery {
-                records,
-                valid_len: off as u64,
-                dropped_tail: true,
-            };
-        }
-        let payload = &bytes[off + 8..off + 8 + len];
-        if crc32(payload) != crc {
-            return RawRecovery {
-                records,
-                valid_len: off as u64,
-                dropped_tail: true,
-            };
-        }
-        let text = match std::str::from_utf8(payload) {
-            Ok(t) => t,
-            Err(_) => {
+        let valid_len = (bytes.len() - rest.len()) as u64;
+        match crate::proto::read_frame(&mut rest) {
+            Ok(Some(v)) => records.push(v),
+            end => {
                 return RawRecovery {
                     records,
-                    valid_len: off as u64,
-                    dropped_tail: true,
-                }
-            }
-        };
-        match json::parse(text) {
-            Ok(v) => records.push(v),
-            Err(_) => {
-                return RawRecovery {
-                    records,
-                    valid_len: off as u64,
-                    dropped_tail: true,
+                    valid_len,
+                    dropped_tail: end.is_err(),
                 }
             }
         }
-        off += 8 + len;
     }
 }
 
@@ -488,33 +452,32 @@ pub fn fnv64_hex(parts: &[&str]) -> String {
     format!("{h:016x}")
 }
 
-/// Wire form of a solver budget (only finite dimensions appear).
+/// Wire form of a solver budget: `{"conflicts":N}`, or `{}` when
+/// unlimited.
 pub(crate) fn budget_out(b: &SolverBudget) -> Json {
     let mut o = Vec::new();
     if let Some(n) = b.max_conflicts {
         o.push(("conflicts".to_string(), Json::UInt(n)));
     }
-    if let Some(n) = b.max_propagations {
-        o.push(("propagations".to_string(), Json::UInt(n)));
-    }
-    if let Some(t) = b.time_limit {
-        o.push(("time_us".to_string(), Json::UInt(t.as_micros() as u64)));
-    }
     Json::Object(o)
 }
 
+/// Read a budget written by [`budget_out`]. Any other key is an error:
+/// reading a record with a dimension this build does not know as
+/// unlimited would let a journaled Unknown cover every budget and
+/// suppress every re-solve.
 pub(crate) fn budget_in(v: &Json) -> Result<SolverBudget, String> {
-    let dim = |key: &str| -> Result<Option<u64>, String> {
-        match v.get(key) {
-            Some(j) => Ok(Some(j.as_u64()?)),
-            None => Ok(None),
-        }
+    let Json::Object(dims) = v else {
+        return Err("budget is not an object".to_string());
     };
-    Ok(SolverBudget {
-        max_conflicts: dim("conflicts")?,
-        max_propagations: dim("propagations")?,
-        time_limit: dim("time_us")?.map(Duration::from_micros),
-    })
+    let mut budget = SolverBudget::unlimited();
+    for (key, n) in dims {
+        match key.as_str() {
+            "conflicts" => budget.max_conflicts = Some(n.as_u64()?),
+            other => return Err(format!("unknown budget key '{other}'")),
+        }
+    }
+    Ok(budget)
 }
 
 // ---------------------------------------------------------------------------
@@ -1275,8 +1238,10 @@ pub fn run_unit_durable(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json;
     use crate::suite;
     use soft_agents::AgentKind;
+    use std::time::Duration;
 
     fn temp_path(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("soft_journal_{}_{}", std::process::id(), name))
@@ -1340,6 +1305,37 @@ mod tests {
         assert_eq!(raw.records.len(), 1, "records after the damage are dropped");
         assert!(raw.dropped_tail);
         fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn every_damaged_tail_truncates_at_the_last_good_record() {
+        let path = temp_path("damaged_tails");
+        write_records(&path, &[r#"{"a":1}"#, r#"{"b":2}"#]);
+        let good = fs::read(&path).unwrap();
+        fs::remove_file(&path).unwrap();
+        let frame = |len: u32, payload: &[u8]| {
+            let mut f = len.to_le_bytes().to_vec();
+            f.extend_from_slice(&crc32(payload).to_le_bytes());
+            f.extend_from_slice(payload);
+            f
+        };
+        let tails: [(&str, Vec<u8>); 4] = [
+            ("torn header", vec![7, 0, 0]),
+            ("non-UTF-8 payload", frame(2, &[0xff, 0xfe])),
+            ("unparseable JSON", frame(4, b"{\"a\"")),
+            (
+                "length over the frame cap",
+                frame(crate::proto::MAX_FRAME_LEN + 1, b"{}"),
+            ),
+        ];
+        for (what, tail) in tails {
+            let mut bytes = good.clone();
+            bytes.extend_from_slice(&tail);
+            let raw = scan_records(&bytes);
+            assert_eq!(raw.records.len(), 2, "{what}");
+            assert!(raw.dropped_tail, "{what}");
+            assert_eq!(raw.valid_len as usize, good.len(), "{what}");
+        }
     }
 
     #[test]
@@ -1427,16 +1423,28 @@ mod tests {
 
     #[test]
     fn budget_roundtrips_through_wire_form() {
-        for b in [
-            SolverBudget::unlimited(),
-            SolverBudget::conflicts(123),
-            SolverBudget {
-                max_conflicts: Some(5),
-                max_propagations: Some(99),
-                time_limit: Some(Duration::from_micros(1500)),
-            },
-        ] {
+        for b in [SolverBudget::unlimited(), SolverBudget::conflicts(123)] {
             assert_eq!(budget_in(&budget_out(&b)).unwrap(), b);
+        }
+        assert_eq!(
+            budget_out(&SolverBudget::conflicts(5)).to_string(),
+            r#"{"conflicts":5}"#
+        );
+        assert_eq!(budget_out(&SolverBudget::unlimited()).to_string(), "{}");
+    }
+
+    #[test]
+    fn budget_in_rejects_foreign_keys() {
+        // A dimension read as "unlimited" would let a journaled Unknown
+        // cover every budget, so anything but `conflicts` is refused.
+        for text in [
+            r#"{"propagations":99}"#,
+            r#"{"conflicts":5,"time_us":1500}"#,
+            r#"{"conflicts":"5"}"#,
+            "null",
+            "[]",
+        ] {
+            assert!(budget_in(&json::parse(text).unwrap()).is_err(), "{text}");
         }
     }
 

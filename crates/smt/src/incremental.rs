@@ -124,8 +124,6 @@ impl IncrementalSolver {
         stats.probe_clauses += self.load_cone(&roots);
         stats.bitblast_ns += t0.elapsed().as_nanos() as u64;
         self.sat.max_conflicts = budget.max_conflicts;
-        self.sat.max_propagations = budget.max_propagations;
-        self.sat.deadline = budget.time_limit.map(|d| Instant::now() + d);
         let t1 = Instant::now();
         let out = self.sat.solve();
         stats.search_ns += t1.elapsed().as_nanos() as u64;

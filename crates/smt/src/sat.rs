@@ -217,10 +217,6 @@ pub struct SatSolver {
     pub propagations: u64,
     /// conflict budget; `None` = unlimited
     pub max_conflicts: Option<u64>,
-    /// propagation (step) budget; `None` = unlimited
-    pub max_propagations: Option<u64>,
-    /// wall-clock cutoff for the current `solve` call; `None` = unlimited
-    pub deadline: Option<std::time::Instant>,
 }
 
 impl Default for SatSolver {
@@ -253,8 +249,6 @@ impl SatSolver {
             decisions: 0,
             propagations: 0,
             max_conflicts: None,
-            max_propagations: None,
-            deadline: None,
         }
     }
 
@@ -282,8 +276,6 @@ impl SatSolver {
         self.model.clear();
         self.reset_stats();
         self.max_conflicts = None;
-        self.max_propagations = None;
-        self.deadline = None;
     }
 
     /// Allocate and return a fresh variable.
@@ -630,20 +622,9 @@ impl SatSolver {
         1u64 << seq
     }
 
-    /// True once the conflict or propagation budget is spent (the
-    /// wall-clock deadline is polled separately, on a stride).
+    /// True once the conflict budget is spent.
     fn budget_exhausted(&self) -> bool {
-        if let Some(max) = self.max_conflicts {
-            if self.conflicts >= max {
-                return true;
-            }
-        }
-        if let Some(max) = self.max_propagations {
-            if self.propagations >= max {
-                return true;
-            }
-        }
-        false
+        self.max_conflicts.is_some_and(|max| self.conflicts >= max)
     }
 
     /// Run the CDCL main loop. The solver backtracks to level 0 before
@@ -667,21 +648,9 @@ impl SatSolver {
         let mut restart_count = 0u64;
         let mut conflicts_until_restart = 100 * Self::luby(0);
         let mut conflicts_this_restart = 0u64;
-        // The deadline is polled once per DEADLINE_STRIDE loop iterations so
-        // the `Instant::now()` syscall cost stays off the hot path.
-        const DEADLINE_STRIDE: u32 = 1024;
-        let mut tick = 0u32;
         loop {
             if self.budget_exhausted() {
                 return SatOutcome::Unknown;
-            }
-            tick = tick.wrapping_add(1);
-            if tick.is_multiple_of(DEADLINE_STRIDE) {
-                if let Some(d) = self.deadline {
-                    if std::time::Instant::now() >= d {
-                        return SatOutcome::Unknown;
-                    }
-                }
             }
             if let Some(conf) = self.propagate() {
                 self.conflicts += 1;

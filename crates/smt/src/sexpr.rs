@@ -198,34 +198,110 @@ impl<'a> Parser<'a> {
         })
     }
 
+    /// Parse one term. Operator nesting is walked with an explicit stack
+    /// (`frames`, with the parsed operands of every open operator on
+    /// `operands`), so input nesting never deepens the call stack, and
+    /// nesting past [`MAX_TERM_DEPTH`] is an error.
     fn term(&mut self) -> Result<Term, ParseError> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'(') => {
-                self.pos += 1;
-                let head = self.token()?;
-                let t = self.head_term(head)?;
+        let mut frames: Vec<Frame<'a>> = Vec::new();
+        let mut operands: Vec<Term> = Vec::new();
+        loop {
+            let mut done = match self.open()? {
+                Opened::Term(t) => t,
+                Opened::Operator(mut f) => {
+                    if frames.len() == MAX_TERM_DEPTH {
+                        return self.err(format!("terms nest deeper than {MAX_TERM_DEPTH}"));
+                    }
+                    f.base = operands.len();
+                    frames.push(f);
+                    continue;
+                }
+            };
+            // Hand the finished term to its operator, closing every
+            // operator that it completes.
+            loop {
+                let Some(top) = frames.last() else {
+                    return Ok(done);
+                };
+                operands.push(done);
+                if operands.len() - top.base < top.arity {
+                    break;
+                }
+                let f = frames.pop().expect("checked above");
+                done = self.apply(&f, operands.drain(f.base..))?;
                 self.skip_ws();
                 self.expect(b')')?;
-                Ok(t)
-            }
-            _ => {
-                let tok = self.token()?;
-                match tok {
-                    "true" => Ok(Term::bool_true()),
-                    "false" => Ok(Term::bool_false()),
-                    _ => self.err(format!("unexpected token '{tok}'")),
-                }
             }
         }
     }
 
-    fn head_term(&mut self, head: &str) -> Result<Term, ParseError> {
+    /// Read the start of a term: a whole leaf, or an operator's head (and
+    /// its numeric parameters) up to its first operand.
+    fn open(&mut self) -> Result<Opened<'a>, ParseError> {
+        self.skip_ws();
+        if self.peek() != Some(b'(') {
+            let tok = self.token()?;
+            return match tok {
+                "true" => Ok(Opened::Term(Term::bool_true())),
+                "false" => Ok(Opened::Term(Term::bool_false())),
+                _ => self.err(format!("unexpected token '{tok}'")),
+            };
+        }
+        self.pos += 1;
+        let head = self.token()?;
+        let leaf = match head {
+            "c" => {
+                let width: u32 = self.number()?;
+                let value: u64 = self.number()?;
+                if !(1..=64).contains(&width) {
+                    return self.err("const width out of range");
+                }
+                Term::bv_const(width, value)
+            }
+            "v" => {
+                let name = self.quoted_string()?;
+                let width: u32 = self.number()?;
+                if !(1..=64).contains(&width) {
+                    return self.err("var width out of range");
+                }
+                Term::var(name, width)
+            }
+            _ => {
+                let (arity, hi, lo) = match head {
+                    "bvnot" | "bvneg" | "not" => (1, 0, 0),
+                    "extract" => (1, self.number()?, self.number()?),
+                    "ite" => (3, 0, 0),
+                    "bvand" | "bvor" | "bvxor" | "bvadd" | "bvsub" | "bvmul" | "bvudiv"
+                    | "bvurem" | "bvshl" | "bvlshr" | "bvashr" | "concat" | "and" | "or" | "=>"
+                    | "iff" | "=" | "bvult" | "bvule" | "bvslt" | "bvsle" => (2, 0, 0),
+                    other => return self.err(format!("unknown operator '{other}'")),
+                };
+                return Ok(Opened::Operator(Frame {
+                    head,
+                    arity,
+                    hi,
+                    lo,
+                    base: 0,
+                }));
+            }
+        };
+        self.skip_ws();
+        self.expect(b')')?;
+        Ok(Opened::Term(leaf))
+    }
+
+    /// Build operator `f` over its parsed operands, checking sorts.
+    fn apply(
+        &self,
+        f: &Frame<'a>,
+        mut args: impl Iterator<Item = Term>,
+    ) -> Result<Term, ParseError> {
+        let mut arg = || args.next().expect("frame arity");
         macro_rules! bin {
             // bv x bv -> bv/bool: operands must be same-width bitvectors
             ($m:ident) => {{
-                let a = self.term()?;
-                let b = self.term()?;
+                let a = arg();
+                let b = arg();
                 if !a.sort().is_bv() || a.sort() != b.sort() {
                     return self.err(concat!("ill-sorted operands for ", stringify!($m)));
                 }
@@ -234,37 +310,21 @@ impl<'a> Parser<'a> {
         }
         macro_rules! bool_bin {
             ($m:ident) => {{
-                let a = self.term()?;
-                let b = self.term()?;
+                let a = arg();
+                let b = arg();
                 if a.sort() != crate::term::Sort::Bool || b.sort() != crate::term::Sort::Bool {
                     return self.err(concat!("ill-sorted operands for ", stringify!($m)));
                 }
                 Ok(a.$m(b))
             }};
         }
-        match head {
-            "c" => {
-                let width: u32 = self.number()?;
-                let value: u64 = self.number()?;
-                if !(1..=64).contains(&width) {
-                    return self.err("const width out of range");
-                }
-                Ok(Term::bv_const(width, value))
-            }
-            "v" => {
-                let name = self.quoted_string()?;
-                let width: u32 = self.number()?;
-                if !(1..=64).contains(&width) {
-                    return self.err("var width out of range");
-                }
-                Ok(Term::var(name, width))
-            }
+        match f.head {
             "bvnot" | "bvneg" => {
-                let a = self.term()?;
+                let a = arg();
                 if !a.sort().is_bv() {
                     return self.err("ill-sorted operand for bv unary op");
                 }
-                Ok(if head == "bvnot" {
+                Ok(if f.head == "bvnot" {
                     a.bvnot()
                 } else {
                     a.bvneg()
@@ -282,26 +342,24 @@ impl<'a> Parser<'a> {
             "bvlshr" => bin!(bvlshr),
             "bvashr" => bin!(bvashr),
             "concat" => {
-                let a = self.term()?;
-                let b = self.term()?;
+                let a = arg();
+                let b = arg();
                 if !a.sort().is_bv() || !b.sort().is_bv() || a.width() + b.width() > 64 {
                     return self.err("ill-sorted operands for concat");
                 }
                 Ok(a.concat(b))
             }
             "extract" => {
-                let hi: u32 = self.number()?;
-                let lo: u32 = self.number()?;
-                let a = self.term()?;
-                if !a.sort().is_bv() || hi < lo || hi >= a.width() {
+                let a = arg();
+                if !a.sort().is_bv() || f.hi < f.lo || f.hi >= a.width() {
                     return self.err("bad extract bounds");
                 }
-                Ok(a.extract(hi, lo))
+                Ok(a.extract(f.hi, f.lo))
             }
             "ite" => {
-                let c = self.term()?;
-                let a = self.term()?;
-                let b = self.term()?;
+                let c = arg();
+                let a = arg();
+                let b = arg();
                 if c.sort() != crate::term::Sort::Bool || a.sort() != b.sort() || !a.sort().is_bv()
                 {
                     return self.err("ill-sorted ite");
@@ -309,7 +367,7 @@ impl<'a> Parser<'a> {
                 Ok(Term::ite_bv(c, a, b))
             }
             "not" => {
-                let a = self.term()?;
+                let a = arg();
                 if a.sort() != crate::term::Sort::Bool {
                     return self.err("ill-sorted operand for not");
                 }
@@ -323,10 +381,40 @@ impl<'a> Parser<'a> {
             "bvult" => bin!(ult),
             "bvule" => bin!(ule),
             "bvslt" => bin!(slt),
-            "bvsle" => bin!(sle),
-            other => self.err(format!("unknown operator '{other}'")),
+            _ => bin!(sle),
         }
     }
+}
+
+/// Deepest operator nesting [`from_wire`] accepts. The explorer's deepest
+/// terms are path conditions: right-leaning `and` chains of at most
+/// `ExplorerConfig::max_depth` (4,096) conjuncts, whose conjuncts are a
+/// few dozen levels deep (recorded artifacts peak at 74 levels in all).
+/// Twice the chain bound covers both; deeper input is hostile, and is
+/// refused before it reaches the recursive walks over terms.
+pub const MAX_TERM_DEPTH: usize = 8192;
+
+/// An operator whose operands are still being parsed.
+struct Frame<'a> {
+    /// Operator name as written.
+    head: &'a str,
+    /// Number of term operands.
+    arity: usize,
+    /// `extract`'s high bit (0 for other operators).
+    hi: u32,
+    /// `extract`'s low bit (0 for other operators).
+    lo: u32,
+    /// Index of this operator's first operand on the operand stack (set
+    /// when the frame is pushed).
+    base: usize,
+}
+
+/// What [`Parser::open`] read.
+enum Opened<'a> {
+    /// A complete term (a leaf).
+    Term(Term),
+    /// An operator head, awaiting its operands.
+    Operator(Frame<'a>),
 }
 
 /// Parse a term from the wire format.
@@ -404,6 +492,51 @@ mod tests {
         assert!(from_wire("(extract 0 0 true)").is_err());
         assert!(from_wire("(").is_err());
         assert!(from_wire("").is_err());
+    }
+
+    /// The wire text and the term of a right-leaning `and` chain of `n`
+    /// distinct conjuncts: `n` operators deep (`n - 1` `and`s around one
+    /// `=`), like an explorer path condition. Both are built without
+    /// recursion.
+    fn and_chain(n: usize) -> (String, Term) {
+        let conjunct = |i: usize| Term::var(format!("deep.x{i}"), 8).eq(Term::bv_const(8, 1));
+        let mut wire = String::new();
+        for i in 0..n - 1 {
+            wire.push_str("(and ");
+            wire.push_str(&to_wire(&conjunct(i)));
+            wire.push(' ');
+        }
+        wire.push_str(&to_wire(&conjunct(n - 1)));
+        wire.push_str(&")".repeat(n - 1));
+        let term = (0..n - 1)
+            .rev()
+            .fold(conjunct(n - 1), |t, i| conjunct(i).and(t));
+        (wire, term)
+    }
+
+    #[test]
+    fn nesting_is_bounded_on_a_default_thread_stack() {
+        // Serve decodes diff baselines on connection threads, which have
+        // Rust's default 2 MiB stack.
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let hostile = format!(
+                    "{}(= (v \"x\" 8) (c 8 1)){}",
+                    "(not ".repeat(200_000),
+                    ")".repeat(200_000)
+                );
+                let err = from_wire(&hostile).unwrap_err();
+                assert!(err.message.contains("nest deeper"), "{err}");
+
+                let (wire, term) = and_chain(MAX_TERM_DEPTH);
+                assert_eq!(from_wire(&wire).unwrap(), term);
+                let (wire, _) = and_chain(MAX_TERM_DEPTH + 1);
+                assert!(from_wire(&wire).is_err());
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 
     #[test]

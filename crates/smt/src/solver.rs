@@ -12,88 +12,66 @@ use crate::incremental::IncrementalSolver;
 use crate::sat::SatOutcome;
 use crate::simplify::{mk_and, propagate_equalities, Preprocessed};
 use crate::{Assignment, Term};
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-/// Resource budget for a single satisfiability query.
+/// Resource budget for a single satisfiability query: a cap on CDCL
+/// conflicts.
 ///
 /// Mirrors the paper's practice of running every constraint query under
 /// Cloud9/STP resource limits: a pathological query must degrade to an
 /// explicit [`SatResult::Unknown`], never stall a worker or take down the
-/// run. `None` in a dimension means unlimited. The default budget is
-/// unlimited in every dimension.
+/// run. The cap counts conflicts, not time, so a budgeted verdict is a
+/// pure function of the query and the budget at any `--jobs`. `None`
+/// means unlimited, the default.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SolverBudget {
     /// Maximum CDCL conflicts per query.
     pub max_conflicts: Option<u64>,
-    /// Maximum literal propagations (step budget) per query.
-    pub max_propagations: Option<u64>,
-    /// Wall-clock cap per query.
-    pub time_limit: Option<Duration>,
 }
 
 impl SolverBudget {
-    /// No limits in any dimension.
+    /// No limit.
     pub const fn unlimited() -> SolverBudget {
         SolverBudget {
             max_conflicts: None,
-            max_propagations: None,
-            time_limit: None,
         }
     }
 
-    /// Budget limiting only the conflict count.
+    /// Budget of `n` conflicts.
     pub const fn conflicts(n: u64) -> SolverBudget {
         SolverBudget {
             max_conflicts: Some(n),
-            max_propagations: None,
-            time_limit: None,
         }
     }
 
-    /// This budget with every finite dimension multiplied by `factor`
-    /// (saturating; unlimited dimensions stay unlimited). The retry
-    /// escalation ladder uses this to grow budgets geometrically — an
-    /// Unknown verdict recorded under the smaller budget never `covers`
-    /// the scaled one, so the verdict cache re-solves rather than
-    /// shortcutting (the PR 2 budget-aware cache contract).
+    /// This budget with a finite cap multiplied by `factor` (saturating;
+    /// an unlimited budget stays unlimited). The retry escalation ladder
+    /// uses this to grow budgets geometrically — an Unknown verdict
+    /// recorded under the smaller budget never `covers` the scaled one,
+    /// so the verdict cache re-solves rather than shortcutting (the
+    /// budget-aware cache contract).
     pub fn scaled(&self, factor: u64) -> SolverBudget {
-        let time_factor = u32::try_from(factor).unwrap_or(u32::MAX);
         SolverBudget {
             max_conflicts: self.max_conflicts.map(|n| n.saturating_mul(factor)),
-            max_propagations: self.max_propagations.map(|n| n.saturating_mul(factor)),
-            time_limit: self.time_limit.map(|t| t.saturating_mul(time_factor)),
         }
     }
 
-    /// True if no dimension is limited.
+    /// True if the budget is unlimited.
     pub fn is_unlimited(&self) -> bool {
-        self.max_conflicts.is_none() && self.max_propagations.is_none() && self.time_limit.is_none()
+        self.max_conflicts.is_none()
     }
 
-    /// True if this budget admits at least as much work as `other` in
-    /// every dimension (`None` = infinite). Used by the verdict cache: an
-    /// `Unknown` produced under budget `B` is only reusable for queries
-    /// whose budget is covered by `B` — a larger budget must re-solve.
+    /// True if this budget admits at least as much work as `other`
+    /// (`None` = infinite). Used by the verdict cache: an `Unknown`
+    /// produced under budget `B` is only reusable for queries whose budget
+    /// is covered by `B` — a larger budget must re-solve.
     pub fn covers(&self, other: &SolverBudget) -> bool {
-        fn dim_geq(a: Option<u64>, b: Option<u64>) -> bool {
-            match (a, b) {
-                (None, _) => true,
-                (Some(_), None) => false,
-                (Some(x), Some(y)) => x >= y,
-            }
+        match (self.max_conflicts, other.max_conflicts) {
+            (None, _) => true,
+            (Some(_), None) => false,
+            (Some(x), Some(y)) => x >= y,
         }
-        fn time_geq(a: Option<Duration>, b: Option<Duration>) -> bool {
-            match (a, b) {
-                (None, _) => true,
-                (Some(_), None) => false,
-                (Some(x), Some(y)) => x >= y,
-            }
-        }
-        dim_geq(self.max_conflicts, other.max_conflicts)
-            && dim_geq(self.max_propagations, other.max_propagations)
-            && time_geq(self.time_limit, other.time_limit)
     }
 }
 
@@ -191,9 +169,9 @@ pub struct SolverStats {
     /// Nanoseconds spent in CDCL search (fresh and incremental paths
     /// combined); see `bitblast_ns` for the rest of a fresh solve.
     pub search_ns: u64,
-    /// Verdict-cache entries evicted to stay under the cache's entry
-    /// bound (whole shared cache when one is attached; gauge, max wins
-    /// on merge).
+    /// Always 0: the verdict cache has no entry bound to evict by (it
+    /// lives only as long as the run that created it). Kept so readers of
+    /// the counter keep working.
     pub cache_evictions: u64,
     /// Always 0: the incremental memo has no size bound to evict by.
     /// Kept so readers of the counter keep working.
@@ -258,38 +236,18 @@ enum CachedVerdict {
 /// Models are stored behind [`Arc`], so a hit is a pointer bump, not a
 /// byte-map clone.
 ///
-/// The cache is **size-bounded**: every cache (including
-/// [`VerdictCache::new`]) carries an entry cap, defaulting to
-/// [`DEFAULT_CACHE_CAP`] — far above any single run's working set; its
-/// job is keeping a long-lived `soft serve` process from growing without
-/// bound, not trimming a run. When a shard exceeds its share of the cap,
-/// the least-recently-touched quarter is evicted. Eviction never changes
-/// a verdict — a re-asked evicted query re-solves to the identical
-/// answer (verdicts and models are pure functions of the canonical key)
-/// — it only costs the re-solve.
-#[derive(Debug)]
+/// The cache has no entry cap: each one lives only as long as the
+/// exploration or crosscheck that created it, so it holds at most that
+/// run's distinct queries (a few hundred for an exploration, about one
+/// per pair for a crosscheck). It is sharded only so that workers sharing
+/// it rarely contend on one lock.
+#[derive(Debug, Default)]
 pub struct VerdictCache {
     shards: [Mutex<CacheShard>; CACHE_SHARDS],
-    /// Per-shard entry bound (total cap rounded up to a multiple of
-    /// [`CACHE_SHARDS`], at least one entry per shard).
-    shard_cap: usize,
-    /// Recency clock, bumped on every hit and insert.
-    tick: AtomicU64,
-    /// Entries dropped to stay under the bound.
-    evictions: AtomicU64,
 }
 
-/// Default total entry cap for a fresh [`VerdictCache`].
-pub const DEFAULT_CACHE_CAP: usize = 1 << 20;
-
-/// One cache shard: canonical key → (verdict, recency stamp).
-type CacheShard = FxHashMap<Vec<Term>, (CachedVerdict, u64)>;
-
-impl Default for VerdictCache {
-    fn default() -> Self {
-        VerdictCache::bounded(DEFAULT_CACHE_CAP)
-    }
-}
+/// One cache shard: canonical key → verdict.
+type CacheShard = FxHashMap<Vec<Term>, CachedVerdict>;
 
 /// Recover the guarded data even if another thread panicked while holding
 /// the lock. Cache entries are only written atomically under the lock
@@ -301,32 +259,9 @@ fn recover<'m, T>(lock: &'m Mutex<T>) -> std::sync::MutexGuard<'m, T> {
 }
 
 impl VerdictCache {
-    /// Fresh, empty cache bounded at [`DEFAULT_CACHE_CAP`] entries.
+    /// Fresh, empty cache.
     pub fn new() -> Self {
         VerdictCache::default()
-    }
-
-    /// Fresh cache bounded at roughly `max_entries` total entries. The
-    /// bound is enforced per shard, rounded up to at least one entry per
-    /// shard, so the effective cap is `max(max_entries, CACHE_SHARDS)`
-    /// rounded to a shard multiple.
-    pub fn bounded(max_entries: usize) -> Self {
-        VerdictCache {
-            shards: std::array::from_fn(|_| Mutex::new(CacheShard::default())),
-            shard_cap: max_entries.div_ceil(CACHE_SHARDS).max(1),
-            tick: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
-    }
-
-    /// The effective total entry cap.
-    pub fn capacity(&self) -> usize {
-        self.shard_cap * CACHE_SHARDS
-    }
-
-    /// Entries evicted so far to stay under the cap.
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(AtomicOrdering::Relaxed)
     }
 
     fn shard(&self, key: &[Term]) -> &Mutex<CacheShard> {
@@ -338,17 +273,9 @@ impl VerdictCache {
         &self.shards[(h as usize) & (CACHE_SHARDS - 1)]
     }
 
-    fn now(&self) -> u64 {
-        self.tick.fetch_add(1, AtomicOrdering::Relaxed)
-    }
-
-    /// Look up a verdict usable under `budget`, refreshing the entry's
-    /// recency stamp.
+    /// Look up a verdict usable under `budget`.
     fn get(&self, key: &[Term], budget: &SolverBudget) -> Option<SatResult> {
-        let mut shard = recover(self.shard(key));
-        let entry = shard.get_mut(key)?;
-        entry.1 = self.now();
-        match &entry.0 {
+        match recover(self.shard(key)).get(key)? {
             CachedVerdict::Decided(r) => Some(r.clone()),
             CachedVerdict::Exhausted(b) if b.covers(budget) => Some(SatResult::Unknown),
             _ => None,
@@ -358,40 +285,22 @@ impl VerdictCache {
     /// Record the verdict of solving `key` under `budget`.
     fn insert(&self, key: Vec<Term>, result: SatResult, budget: &SolverBudget) {
         let mut shard = recover(self.shard(&key));
-        let stamp = self.now();
         match result {
             SatResult::Unknown => {
                 // Keep the largest failed budget on record; never shadow a
                 // decided verdict another worker may have raced in.
                 match shard.get(&key) {
-                    Some((CachedVerdict::Decided(_), _)) => {}
-                    Some((CachedVerdict::Exhausted(b), _)) if b.covers(budget) => {}
+                    Some(CachedVerdict::Decided(_)) => {}
+                    Some(CachedVerdict::Exhausted(b)) if b.covers(budget) => {}
                     _ => {
-                        shard.insert(key, (CachedVerdict::Exhausted(*budget), stamp));
+                        shard.insert(key, CachedVerdict::Exhausted(*budget));
                     }
                 }
             }
             decided => {
-                shard.insert(key, (CachedVerdict::Decided(decided), stamp));
+                shard.insert(key, CachedVerdict::Decided(decided));
             }
         }
-        self.enforce_cap(&mut shard);
-    }
-
-    /// Drop the least-recently-touched quarter of a shard once it
-    /// exceeds its bound (amortized: one O(n) pass buys ~cap/4 inserts).
-    fn enforce_cap(&self, shard: &mut CacheShard) {
-        if shard.len() <= self.shard_cap {
-            return;
-        }
-        let mut ticks: Vec<u64> = shard.values().map(|e| e.1).collect();
-        ticks.sort_unstable();
-        let drop_n = (shard.len() / 4).max(shard.len() - self.shard_cap);
-        let threshold = ticks[drop_n - 1];
-        let before = shard.len();
-        shard.retain(|_, e| e.1 > threshold);
-        self.evictions
-            .fetch_add((before - shard.len()) as u64, AtomicOrdering::Relaxed);
     }
 
     /// Total number of cached verdicts across all shards (decided and
@@ -407,7 +316,7 @@ impl VerdictCache {
             .map(|s| {
                 recover(s)
                     .values()
-                    .filter(|(v, _)| matches!(v, CachedVerdict::Exhausted(_)))
+                    .filter(|v| matches!(v, CachedVerdict::Exhausted(_)))
                     .count()
             })
             .sum()
@@ -516,7 +425,6 @@ impl Solver {
         }
         self.cache.insert(key, result.clone(), &self.budget);
         self.stats.cache_size = self.cache.len() as u64;
-        self.stats.cache_evictions = self.cache.evictions();
         result
     }
 
@@ -588,8 +496,6 @@ impl Solver {
         let bb = self.fresh.get_or_insert_with(BitBlaster::new);
         bb.reset();
         bb.sat.max_conflicts = self.budget.max_conflicts;
-        bb.sat.max_propagations = self.budget.max_propagations;
-        bb.sat.deadline = self.budget.time_limit.map(|d| Instant::now() + d);
         for t in &residual {
             bb.assert_term(t);
         }
@@ -835,40 +741,6 @@ mod tests {
     }
 
     #[test]
-    fn capped_cache_stays_bounded_and_verdicts_unchanged() {
-        let capped = Arc::new(VerdictCache::bounded(64));
-        let cap = capped.capacity();
-        let mut with_cap = Solver::with_cache(Arc::clone(&capped));
-        let mut reference = Solver::new();
-        // Sustained distinct queries, several times the cap, mixing Sat
-        // and Unsat shapes; the capped cache must stay within bounds and
-        // every verdict must match an uncapped solver's.
-        for i in 0..(cap as u64 * 4) {
-            let x = Term::var(format!("cap.x{i}"), 16);
-            let lo = x.clone().ugt(Term::bv_const(16, i % 13));
-            let hi = x.ult(Term::bv_const(16, (i % 7) + 7));
-            let q = [lo, hi];
-            let got = with_cap.check(&q);
-            let want = reference.check(&q);
-            assert_eq!(got, want, "eviction changed a verdict (i={i})");
-            assert!(
-                capped.len() <= cap,
-                "cache exceeded its bound: {} > {cap}",
-                capped.len()
-            );
-        }
-        assert!(capped.evictions() > 0, "sustained inserts must evict");
-        assert_eq!(with_cap.stats.cache_evictions, capped.evictions());
-        // An evicted query re-solves to the identical verdict and model.
-        let x = Term::var("cap.x0", 16);
-        let q = [
-            x.clone().ugt(Term::bv_const(16, 0)),
-            x.ult(Term::bv_const(16, 7)),
-        ];
-        assert_eq!(with_cap.check(&q), reference.check(&q));
-    }
-
-    #[test]
     fn model_completion_handles_deep_binding_chains() {
         // Chain of 16 aliased variables rooted at a constant; the old
         // fixed 8-round completion cap could leave the tail unassigned.
@@ -984,34 +856,10 @@ mod tests {
     }
 
     #[test]
-    fn time_limit_budget_is_safe() {
-        // A zero time limit must yield Unknown (never a wrong verdict) on
-        // queries that reach the SAT core, and must not disturb
-        // simplification-only queries.
-        let mut s = Solver::new();
-        s.budget = SolverBudget {
-            time_limit: Some(Duration::from_secs(0)),
-            ..SolverBudget::unlimited()
-        };
-        let x = Term::var("sv.t", 8);
-        let r = s.check(&[x.clone().eq(Term::bv_const(8, 3))]);
-        assert!(r.is_sat(), "simplification path ignores the SAT deadline");
-        let r = s.check(&[hard_query()]);
-        assert!(!r.is_sat() || r.model().is_some());
-        assert!(!r.is_unsat(), "deadline exhaustion must not claim Unsat");
-    }
-
-    #[test]
     fn scaled_budget_grows_finite_dimensions_only() {
-        let b = SolverBudget {
-            max_conflicts: Some(3),
-            max_propagations: None,
-            time_limit: Some(Duration::from_millis(10)),
-        };
+        let b = SolverBudget::conflicts(3);
         let s = b.scaled(4);
         assert_eq!(s.max_conflicts, Some(12));
-        assert_eq!(s.max_propagations, None);
-        assert_eq!(s.time_limit, Some(Duration::from_millis(40)));
         // The escalated budget is strictly larger, so a cached Unknown
         // recorded under `b` must not cover it (forcing a re-solve).
         assert!(s.covers(&b));

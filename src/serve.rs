@@ -426,12 +426,17 @@ fn run_job(state: &ServeState, rj: &ResolvedJob, fsync: bool) -> Result<Json, St
         std::fs::read_to_string(path).map_err(|e| format!("read back {path}: {e}"))
     };
     let prefix = state.store.out_prefix(&key);
+    let staged = [
+        format!("{prefix}{}_{}.json", rj.agent_a.id(), rj.test.id),
+        format!("{prefix}{}_{}.json", rj.agent_b.id(), rj.test.id),
+        format!("{prefix}corpus_{}.json", rj.test.id),
+    ];
     let entry = StoreEntry {
         fp_a: rj.fp_a.clone(),
         fp_b: rj.fp_b.clone(),
-        artifact_a: read_back(&format!("{prefix}{}_{}.json", rj.agent_a.id(), rj.test.id))?,
-        artifact_b: read_back(&format!("{prefix}{}_{}.json", rj.agent_b.id(), rj.test.id))?,
-        corpus: read_back(&format!("{prefix}corpus_{}.json", rj.test.id))?,
+        artifact_a: read_back(&staged[0])?,
+        artifact_b: read_back(&staged[1])?,
+        corpus: read_back(&staged[2])?,
         summary: outcome_summary(outcome),
         verdicts: outcome.verdicts.clone(),
         // Embedded so a corrupt index.json can be rebuilt from entries.
@@ -442,9 +447,14 @@ fn run_job(state: &ServeState, rj: &ResolvedJob, fsync: bool) -> Result<Json, St
         .publish(&key, &logical, &entry)
         .map_err(|e| format!("store publish: {e}"))?;
     state.store.clear_inflight(&key);
-    // The WAL only covers the gap between accept and publish; the
-    // published entry now answers this key forever.
+    // The WAL only covers the gap between accept and publish, and the
+    // staged files only carry the session's output to the entry; the
+    // published entry now answers this key forever. Best effort: a crash
+    // before this point leaves files the next run of the key overwrites.
     let _ = std::fs::remove_file(state.store.wal_path(&key));
+    for path in &staged {
+        let _ = std::fs::remove_file(path);
+    }
     add_ns(&state.counters.publish_ns, t_publish);
     // In fleet mode, push the fresh entry to this key's ring successors
     // before replying: once the client sees the result, a replica

@@ -179,11 +179,13 @@ impl SessionReport {
 /// check fingerprint. One definition, so a given configuration
 /// identifies the same work in both flows.
 pub fn check_settings(check: &CrosscheckConfig) -> String {
-    // The retry ladder once had a configurable factor and cap; their
-    // fixed values stay in the text so older journals still resume.
+    // The text is frozen so older journals still resume: the budget once
+    // had propagation and time dimensions and was written with `{:?}`,
+    // and the retry ladder once had a configurable factor and cap.
     format!(
-        "budget={:?};rungs={};factor={RETRY_FACTOR};cap=None",
-        check.solver_budget, check.retry_rungs
+        "budget=SolverBudget {{ max_conflicts: {:?}, max_propagations: None, \
+         time_limit: None }};rungs={};factor={RETRY_FACTOR};cap=None",
+        check.solver_budget.max_conflicts, check.retry_rungs
     )
 }
 
@@ -536,4 +538,30 @@ fn run_one_test(
         }
     }
     Ok(outcome)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn check_settings_text_is_frozen() {
+        // Journal fingerprints hash this text; a change would make
+        // `--resume` refuse every journal written before it.
+        assert_eq!(
+            check_settings(&CrosscheckConfig::default()),
+            "budget=SolverBudget { max_conflicts: None, max_propagations: None, \
+             time_limit: None };rungs=0;factor=4;cap=None"
+        );
+        let budgeted = CrosscheckConfig {
+            solver_budget: SolverBudget::conflicts(50),
+            retry_rungs: 2,
+            ..CrosscheckConfig::default()
+        };
+        assert_eq!(
+            check_settings(&budgeted),
+            "budget=SolverBudget { max_conflicts: Some(50), max_propagations: None, \
+             time_limit: None };rungs=2;factor=4;cap=None"
+        );
+    }
 }

@@ -364,6 +364,35 @@ fn check_rejects_corrupt_artifacts() {
 }
 
 #[test]
+fn check_rejects_deeply_nested_terms() {
+    // A condition nested far deeper than any exploration builds must be
+    // a parse error, not a stack overflow.
+    let dir = std::env::temp_dir().join(format!("soft_cli_deep_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let art = dir.join("reference_queue_config.json");
+    let args = ["phase1", "--agent", "reference", "--test", "queue_config"];
+    let (_, stderr, code) =
+        run(&[&args[..], &["--out", art.to_str().unwrap(), "--no-journal"]].concat());
+    assert_eq!(code, Some(0), "phase1: {stderr}");
+    let text = std::fs::read_to_string(&art).unwrap();
+    let start = text.find("\"condition\":\"").unwrap() + "\"condition\":\"".len();
+    let end = start + text[start..].find('"').unwrap();
+    let deep = format!("{}true{}", "(not ".repeat(200_000), ")".repeat(200_000));
+    let deep_art = dir.join("deep.json");
+    std::fs::write(
+        &deep_art,
+        format!("{}{deep}{}", &text[..start], &text[end..]),
+    )
+    .unwrap();
+    let deep_art = deep_art.to_str().unwrap();
+    let (_, stderr, code) = run(&["check", deep_art, deep_art, "--no-journal"]);
+    assert_eq!(code, Some(1), "stderr: {stderr}");
+    assert!(stderr.contains("cannot parse"), "stderr: {stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn regress_compares_artifacts_of_one_test() {
     let dir = std::env::temp_dir().join(format!("soft_cli_regress_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

@@ -187,7 +187,7 @@ fn daemon_serves_hits_and_diff_seeded_reruns() {
         let ack = soft::serve::request(&addr, &soft::harness::proto::drain_request())
             .expect("drain request");
         assert_eq!(ack.field("type").and_then(Json::as_str), Ok("draining"));
-        idle
+        (idle, [str_field(&first, "key"), str_field(&third, "key")])
     });
     let deadline = Instant::now() + Duration::from_secs(30);
     let status = loop {
@@ -201,9 +201,10 @@ fn daemon_serves_hits_and_diff_seeded_reruns() {
         let _ = child.kill();
         let _ = child.wait();
     }
-    if let Err(e) = result {
-        std::panic::resume_unwind(e);
-    }
+    let (_idle, keys) = match result {
+        Ok(kept) => kept,
+        Err(e) => std::panic::resume_unwind(e),
+    };
     let status = status.expect("daemon failed to drain within 30s of the drain ack");
     assert!(status.success(), "daemon exited with {status}");
     assert!(
@@ -211,6 +212,22 @@ fn daemon_serves_hits_and_diff_seeded_reruns() {
             .expect("stats persisted on drain")
             .contains("\"jobs_served\":3"),
         "drain must persist the counters"
+    );
+    // Publishing a key deletes its staged session output: the store
+    // entry holds the same bytes.
+    let staged: Vec<String> = fs::read_dir(store.join("out"))
+        .expect("read out/")
+        .map(|e| {
+            e.expect("out/ entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .filter(|name| keys.iter().any(|k| name.starts_with(&format!("{k}_"))))
+        .collect();
+    assert!(
+        staged.is_empty(),
+        "published keys left staged files: {staged:?}"
     );
     let _ = fs::remove_dir_all(&store);
 }
