@@ -13,7 +13,8 @@
 use crate::group::GroupedResults;
 use soft_harness::{par_map, ObservedOutput};
 use soft_protocol::TraceEvent;
-use soft_smt::{Assignment, SatResult, Solver, SolverBudget, SolverStats, Term, VerdictCache};
+use soft_smt::{Assignment, Op, SatResult, Solver, SolverBudget, SolverStats, Term, VerdictCache};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -546,9 +547,58 @@ fn worker_solver(cache: Arc<VerdictCache>, budget: SolverBudget, incremental: bo
     solver
 }
 
+/// The `todo` pairs in the chunks [`solve_pass`] hands its workers. A
+/// worker's fresh solve keeps the encoding of a query's first residual
+/// conjunct resident for the next query that starts with it, so pairs
+/// whose canonical queries share their first conjunct go into one chunk,
+/// in `todo` order. The key is a cheap guess at that conjunct (the
+/// leftmost conjunct of the first non-`true` term in canonical order,
+/// before simplification): it decides only how often the resident
+/// encoding is reused, never a verdict. Chunks hold at most a quarter of
+/// one worker's share, so a test dominated by one key still spreads, and
+/// larger chunks are claimed first.
+fn schedule(
+    a: &GroupedResults,
+    b: &GroupedResults,
+    pairs: &[(usize, usize, Term)],
+    todo: &[usize],
+    jobs: usize,
+) -> Vec<Vec<usize>> {
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    let mut group_of: HashMap<Option<u64>, usize> = HashMap::new();
+    for &k in todo {
+        let (i, j, differ) = &pairs[k];
+        let key = [&a.groups[*i].condition, &b.groups[*j].condition, differ]
+            .into_iter()
+            .filter(|t| t.as_bool_const() != Some(true))
+            .min_by(|x, y| x.structural_cmp(y))
+            .map(|mut t| {
+                while let Op::And(l, _) = t.op() {
+                    t = l;
+                }
+                t.id()
+            });
+        let g = *group_of.entry(key).or_insert_with(|| {
+            groups.push(Vec::new());
+            groups.len() - 1
+        });
+        groups[g].push(k);
+    }
+    let cap = todo.len().div_ceil(4 * jobs.max(1)).max(1);
+    let mut chunks: Vec<Vec<usize>> = groups
+        .iter()
+        .flat_map(|g| g.chunks(cap))
+        .map(<[usize]>::to_vec)
+        .collect();
+    chunks.sort_by_key(|c| std::cmp::Reverse(c.len()));
+    chunks
+}
+
 /// Solve the `todo` subset of the pair matrix under `budget`, filling the
-/// corresponding slots. The pairs are fanned over `cfg.jobs` workers, each
-/// with its own [`worker_solver`], and verdicts are written back by pair
+/// corresponding slots. The pairs are fanned over `cfg.jobs` workers,
+/// each with its own [`worker_solver`]: one pair at a time when the
+/// workers carry an incremental memo, in the chunks of [`schedule`] when
+/// every query takes the fresh solve. Verdicts are written back by pair
 /// index, so the merge order is independent of scheduling. Each worker's
 /// solver statistics are merged into `stats` when the pass completes. A
 /// worker panic is not contained: it reaches the caller and aborts the
@@ -569,22 +619,36 @@ fn solve_pass(
         return;
     }
     let incremental = cfg.incremental && budget.is_unlimited();
-    let (verdicts, solvers) = par_map(
-        cfg.jobs,
-        todo,
-        || worker_solver(Arc::clone(cache), budget, incremental),
-        |solver, &k| {
-            let (i, j, differ) = &pairs[k];
-            solver.check(&[
-                a.groups[*i].condition.clone(),
-                b.groups[*j].condition.clone(),
-                differ.clone(),
-            ])
-        },
-    );
-    for (&k, v) in todo.iter().zip(verdicts) {
-        slots[k] = Some((v, budget));
-    }
+    let init = || worker_solver(Arc::clone(cache), budget, incremental);
+    let query = |solver: &mut Solver, k: usize| {
+        let (i, j, differ) = &pairs[k];
+        solver.check(&[
+            a.groups[*i].condition.clone(),
+            b.groups[*j].condition.clone(),
+            differ.clone(),
+        ])
+    };
+    let solvers = if incremental {
+        // With a memo, only the pairs whose probe is not Unsat reach the
+        // fresh solve, so chunking saves no time here, while it raised
+        // `soft serve`'s peak memory; workers claim single pairs.
+        let (verdicts, solvers) = par_map(cfg.jobs, todo, init, |s, &k| query(s, k));
+        for (&k, v) in todo.iter().zip(verdicts) {
+            slots[k] = Some((v, budget));
+        }
+        solvers
+    } else {
+        let chunks = schedule(a, b, pairs, todo, cfg.jobs);
+        let (verdicts, solvers) = par_map(cfg.jobs, &chunks, init, |s, chunk| {
+            chunk.iter().map(|&k| query(s, k)).collect::<Vec<_>>()
+        });
+        for (chunk, vs) in chunks.iter().zip(verdicts) {
+            for (&k, v) in chunk.iter().zip(vs) {
+                slots[k] = Some((v, budget));
+            }
+        }
+        solvers
+    };
     for solver in &solvers {
         stats.merge(&solver.stats);
     }
@@ -903,6 +967,106 @@ mod tests {
                 .unwrap_or_else(|e| e.into_inner())
                 .push((i, j, verdict.clone(), *budget));
         }
+    }
+
+    #[test]
+    fn chunked_schedule_solves_each_pair_once_in_pair_order() {
+        // Conditions that share subterms and reach the SAT core (a
+        // product no equality propagation removes), one `true` condition,
+        // and one output both agents produce (its pair is skipped).
+        let p = Term::var("cc9.p", 8);
+        let q = Term::var("cc9.q", 8);
+        let k = |v| Term::bv_const(8, v);
+        let prod = p.clone().bvmul(q.clone());
+        let a = group_paths(
+            "a",
+            "t",
+            &[
+                path(prod.clone().ult(k(40)).and(q.clone().ugt(k(2))), out(1)),
+                path(prod.clone().uge(k(40)).and(p.clone().ult(k(100))), out(2)),
+                path(p.clone().uge(k(100)).and(prod.clone().ne(k(77))), out(3)),
+                path(p.clone().bvadd(q.clone()).eq(k(200)), out(4)),
+            ],
+        )
+        .expect("grouping");
+        let b = group_paths(
+            "b",
+            "t",
+            &[
+                path(q.clone().ult(k(16)).and(prod.clone().ugt(k(30))), out(5)),
+                path(q.clone().uge(k(16)).and(prod.clone().ult(k(90))), out(6)),
+                path(p.clone().bvxor(q.clone()).eq(k(0x5a)), out(7)),
+                path(Term::bool_true(), out(8)),
+                path(prod.clone().eq(k(77)), out(1)),
+            ],
+        )
+        .expect("grouping");
+
+        // The schedule hands out every `todo` index exactly once, for the
+        // whole matrix and for a subset, at any job count.
+        let pairs: Vec<(usize, usize, Term)> = (0..a.groups.len())
+            .flat_map(|i| (0..b.groups.len()).map(move |j| (i, j)))
+            .filter(|&(i, j)| a.groups[i].output != b.groups[j].output)
+            .map(|(i, j)| {
+                (
+                    i,
+                    j,
+                    outputs_differ(&a.groups[i].output, &b.groups[j].output),
+                )
+            })
+            .collect();
+        let every: Vec<usize> = (0..pairs.len()).collect();
+        let odd: Vec<usize> = every.iter().copied().filter(|k| k % 2 == 1).collect();
+        for todo in [&every, &odd] {
+            for jobs in [1, 2, 4] {
+                let mut got: Vec<usize> = schedule(&a, &b, &pairs, todo, jobs).concat();
+                got.sort_unstable();
+                assert_eq!(&got, todo, "jobs={jobs}");
+            }
+        }
+
+        // The verdict matrix, models included, is the same for every job
+        // count and with or without the incremental memo; each pair is
+        // solved once, and the sink sees the verdicts in pair order.
+        let mut first: Option<Vec<(usize, usize, SatResult, SolverBudget)>> = None;
+        for incremental in [false, true] {
+            for jobs in [1, 2, 4] {
+                let at = format!("jobs={jobs} incremental={incremental}");
+                let cfg = CrosscheckConfig {
+                    jobs,
+                    incremental,
+                    ..Default::default()
+                };
+                let sink = CollectVerdicts::default();
+                let r = crosscheck_durable(&a, &b, &cfg, None, Some(&sink));
+                let seen = sink.0.into_inner().unwrap_or_else(|e| e.into_inner());
+                assert_eq!(r.queries, pairs.len(), "{at}");
+                assert_eq!(r.solver.queries as usize, pairs.len(), "{at}");
+                let order: Vec<(usize, usize)> = seen.iter().map(|v| (v.0, v.1)).collect();
+                let want: Vec<(usize, usize)> = pairs.iter().map(|p| (p.0, p.1)).collect();
+                assert_eq!(order, want, "{at}: sink order");
+                match &first {
+                    None => first = Some(seen),
+                    Some(f) => assert_eq!(&seen, f, "{at}"),
+                }
+            }
+        }
+        // And each verdict is a new solver's verdict on the pair's query.
+        let verdicts = first.expect("six runs");
+        for ((i, j, v, _), (_, _, differ)) in verdicts.iter().zip(&pairs) {
+            let query = [
+                a.groups[*i].condition.clone(),
+                b.groups[*j].condition.clone(),
+                differ.clone(),
+            ];
+            assert_eq!(v, &Solver::new().check(&query), "pair ({i}, {j})");
+        }
+        let sat = verdicts.iter().filter(|v| v.2.is_sat()).count();
+        assert!(
+            0 < sat && sat < verdicts.len(),
+            "{sat} of {} pairs Sat",
+            verdicts.len()
+        );
     }
 
     #[test]

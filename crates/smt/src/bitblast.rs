@@ -102,6 +102,13 @@ pub struct BitBlaster<S: GateSink = SatSolver> {
     /// listed once.
     var_bits: Vec<(Arc<str>, Vec<Lit>)>,
     true_lit: Lit,
+    /// Set by [`BitBlaster::checkpoint`]: the keys inserted into
+    /// `bv_cache` and `bool_cache` since, and the `var_bits` length it
+    /// saved.
+    logging: bool,
+    bv_log: Vec<u64>,
+    bool_log: Vec<u64>,
+    saved_var_bits: usize,
 }
 
 impl std::fmt::Debug for BitBlaster {
@@ -133,6 +140,10 @@ impl<S: GateSink> BitBlaster<S> {
             bool_cache: FxHashMap::default(),
             var_bits: Vec::new(),
             true_lit,
+            logging: false,
+            bv_log: Vec::new(),
+            bool_log: Vec::new(),
+            saved_var_bits: 0,
         }
     }
 
@@ -447,6 +458,9 @@ impl<S: GateSink> BitBlaster<S> {
             _ => panic!("blast_bv on boolean term {t}"),
         };
         self.bv_cache.insert(t.id(), bits.clone());
+        if self.logging {
+            self.bv_log.push(t.id());
+        }
         bits
     }
 
@@ -506,6 +520,9 @@ impl<S: GateSink> BitBlaster<S> {
             _ => panic!("blast_bool on bitvector term {t}"),
         };
         self.bool_cache.insert(t.id(), lit);
+        if self.logging {
+            self.bool_log.push(t.id());
+        }
         lit
     }
 }
@@ -520,9 +537,38 @@ impl BitBlaster {
         self.bool_cache.clear();
         self.var_bits.clear();
         self.cache_hits = 0;
+        self.logging = false;
+        self.bv_log.clear();
+        self.bool_log.clear();
         let t = self.sat.new_var();
         self.true_lit = Lit::pos(t);
         self.sat.unit(self.true_lit);
+    }
+
+    /// Save the context at level 0 (see [`SatSolver::checkpoint`]); from
+    /// here on every term encoding is logged so that
+    /// [`BitBlaster::rollback`] can forget it.
+    pub fn checkpoint(&mut self) {
+        self.sat.checkpoint();
+        self.logging = true;
+        self.bv_log.clear();
+        self.bool_log.clear();
+        self.saved_var_bits = self.var_bits.len();
+    }
+
+    /// Return to the last checkpoint: the SAT instance rolls back, and
+    /// the terms encoded since leave the caches, so each is encoded again,
+    /// into the same variables, when it next appears. The context then
+    /// encodes exactly what it encoded after the checkpoint was taken.
+    pub fn rollback(&mut self) {
+        self.sat.rollback();
+        for id in self.bv_log.drain(..) {
+            self.bv_cache.remove(&id);
+        }
+        for id in self.bool_log.drain(..) {
+            self.bool_cache.remove(&id);
+        }
+        self.var_bits.truncate(self.saved_var_bits);
     }
 
     /// Assert a boolean term as a top-level constraint.

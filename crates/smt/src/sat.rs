@@ -84,8 +84,18 @@ pub enum SatOutcome {
 
 const CLAUSE_NONE: u32 = u32::MAX;
 
-struct Clause {
-    lits: Vec<Lit>,
+/// A clause's place in [`SatSolver::arena`]: `len` literals from `start`.
+#[derive(Debug, Clone, Copy)]
+struct ClauseRef {
+    start: u32,
+    len: u32,
+}
+
+impl ClauseRef {
+    fn range(self) -> std::ops::Range<usize> {
+        let start = self.start as usize;
+        start..start + self.len as usize
+    }
 }
 
 /// Indexed max-heap over variable activities (MiniSat's order heap).
@@ -177,9 +187,66 @@ impl VarHeap {
     }
 }
 
+/// The level-0 state saved by [`SatSolver::checkpoint`]. Its buffers are
+/// kept across checkpoints, so taking one allocates nothing once the
+/// instance has held its largest prefix.
+#[derive(Default)]
+struct Checkpoint {
+    taken: bool,
+    clauses: usize,
+    /// The arena prefix: propagation swaps literals inside clauses.
+    arena: Vec<Lit>,
+    /// The watch lists of the prefix literals, one after another;
+    /// `watch_lens[l]` of them belong to literal `l`.
+    watches: Vec<u32>,
+    watch_lens: Vec<u32>,
+    trail: usize,
+    qhead: usize,
+    assign: Vec<LBool>,
+    level: Vec<u32>,
+    reason: Vec<u32>,
+    activity: Vec<f64>,
+    saved_phase: Vec<bool>,
+    heap: Vec<u32>,
+    pos: Vec<usize>,
+    var_inc: f64,
+    unsat: bool,
+    /// `conflicts`, `decisions` and `propagations`.
+    counters: [u64; 3],
+}
+
+/// `dst` becomes a copy of `src`, reusing its allocation.
+fn save<T: Copy>(dst: &mut Vec<T>, src: &[T]) {
+    dst.clear();
+    dst.extend_from_slice(src);
+}
+
+/// `dst`, which has only grown since `src` was saved from it, becomes
+/// `src` again.
+fn restore<T: Copy>(dst: &mut Vec<T>, src: &[T]) {
+    dst.truncate(src.len());
+    dst.copy_from_slice(src);
+}
+
+/// Remove adjacent repeats from the sorted `c` in place; returns the
+/// length of the deduplicated prefix.
+fn dedup_sorted(c: &mut [Lit]) -> usize {
+    let mut n = 0;
+    for i in 0..c.len() {
+        if n == 0 || c[i] != c[n - 1] {
+            c[n] = c[i];
+            n += 1;
+        }
+    }
+    n
+}
+
 /// CDCL SAT solver over clauses added with [`SatSolver::add_clause`].
 pub struct SatSolver {
-    clauses: Vec<Clause>,
+    /// The literals of every clause, original and learned, one after
+    /// another in the order they were added.
+    arena: Vec<Lit>,
+    clauses: Vec<ClauseRef>,
     /// watches[lit] = clauses watching `lit` (i.e. containing it in slot 0/1)
     watches: Vec<Vec<u32>>,
     assign: Vec<LBool>,
@@ -202,13 +269,12 @@ pub struct SatSolver {
     /// separate from the working assignment so the solver can backtrack to
     /// level 0 after the query without losing the witness.
     model: Vec<bool>,
-    /// Literal buffers of clauses dropped by [`SatSolver::reset`] (and of
-    /// clauses that simplified away), reused for every clause added or
-    /// learned, so a reused instance stops allocating once it has seen
-    /// its largest load.
-    spare: Vec<Vec<Lit>>,
+    /// Scratch clause: `add_clause`'s copy of a clause of more than three
+    /// literals, and the clause conflict analysis learns.
+    tmp: Vec<Lit>,
     /// Conflict analysis marks, all false between conflicts.
     seen: Vec<bool>,
+    cp: Checkpoint,
     /// Conflicts encountered since construction or the last reset.
     pub conflicts: u64,
     /// Decisions made since construction or the last reset.
@@ -229,6 +295,7 @@ impl SatSolver {
     /// Fresh, empty solver.
     pub fn new() -> Self {
         SatSolver {
+            arena: Vec::new(),
             clauses: Vec::new(),
             watches: Vec::new(),
             assign: Vec::new(),
@@ -243,8 +310,9 @@ impl SatSolver {
             saved_phase: Vec::new(),
             unsat: false,
             model: Vec::new(),
-            spare: Vec::new(),
+            tmp: Vec::new(),
             seen: Vec::new(),
+            cp: Checkpoint::default(),
             conflicts: 0,
             decisions: 0,
             propagations: 0,
@@ -254,13 +322,14 @@ impl SatSolver {
 
     /// Empty the instance for a new formula while keeping its
     /// allocations: variables, clauses, counters and budgets all restart
-    /// from zero, as in [`SatSolver::new`].
+    /// from zero, as in [`SatSolver::new`], and the checkpoint is dropped.
     pub fn reset(&mut self) {
         let used = 2 * self.assign.len();
         for w in &mut self.watches[..used] {
             w.clear();
         }
-        self.spare.extend(self.clauses.drain(..).map(|c| c.lits));
+        self.arena.clear();
+        self.clauses.clear();
         self.assign.clear();
         self.level.clear();
         self.reason.clear();
@@ -274,8 +343,77 @@ impl SatSolver {
         self.saved_phase.clear();
         self.unsat = false;
         self.model.clear();
+        self.cp.taken = false;
         self.reset_stats();
         self.max_conflicts = None;
+    }
+
+    /// Save the instance's level-0 state: its clauses (with the order of
+    /// their literals), watch lists, trail, per-variable assignment,
+    /// activity and phase, decision heap, activity increment, Unsat flag
+    /// and counters. [`SatSolver::rollback`] returns to exactly this
+    /// state, so a formula that extends the saved one is solved as on a
+    /// new instance loaded to this point. A [`SatSolver::reset`] drops the
+    /// checkpoint.
+    pub fn checkpoint(&mut self) {
+        debug_assert!(self.trail_lim.is_empty(), "checkpoint above level 0");
+        let cp = &mut self.cp;
+        cp.taken = true;
+        cp.clauses = self.clauses.len();
+        save(&mut cp.arena, &self.arena);
+        cp.watches.clear();
+        cp.watch_lens.clear();
+        for w in &self.watches[..2 * self.assign.len()] {
+            cp.watches.extend_from_slice(w);
+            cp.watch_lens.push(w.len() as u32);
+        }
+        cp.trail = self.trail.len();
+        cp.qhead = self.qhead;
+        save(&mut cp.assign, &self.assign);
+        save(&mut cp.level, &self.level);
+        save(&mut cp.reason, &self.reason);
+        save(&mut cp.activity, &self.activity);
+        save(&mut cp.saved_phase, &self.saved_phase);
+        save(&mut cp.heap, &self.order.heap);
+        save(&mut cp.pos, &self.order.pos);
+        cp.var_inc = self.var_inc;
+        cp.unsat = self.unsat;
+        cp.counters = [self.conflicts, self.decisions, self.propagations];
+    }
+
+    /// Return to the state saved by the last [`SatSolver::checkpoint`]:
+    /// the variables, original clauses and learned clauses added since
+    /// are gone, and everything the checkpoint saved is as it was. The
+    /// conflict budget and the checkpoint itself stay.
+    pub fn rollback(&mut self) {
+        assert!(self.cp.taken, "rollback without a checkpoint");
+        debug_assert!(self.trail_lim.is_empty(), "rollback above level 0");
+        let cp = &self.cp;
+        let saved_lits = cp.watch_lens.len();
+        for w in &mut self.watches[saved_lits..2 * self.assign.len()] {
+            w.clear();
+        }
+        let mut at = 0;
+        for (w, &n) in self.watches.iter_mut().zip(&cp.watch_lens) {
+            let n = n as usize;
+            save(w, &cp.watches[at..at + n]);
+            at += n;
+        }
+        restore(&mut self.arena, &cp.arena);
+        self.clauses.truncate(cp.clauses);
+        self.trail.truncate(cp.trail);
+        self.qhead = cp.qhead;
+        restore(&mut self.assign, &cp.assign);
+        restore(&mut self.level, &cp.level);
+        restore(&mut self.reason, &cp.reason);
+        restore(&mut self.activity, &cp.activity);
+        restore(&mut self.saved_phase, &cp.saved_phase);
+        save(&mut self.order.heap, &cp.heap);
+        restore(&mut self.order.pos, &cp.pos);
+        self.var_inc = cp.var_inc;
+        self.unsat = cp.unsat;
+        [self.conflicts, self.decisions, self.propagations] = cp.counters;
+        self.model.clear();
     }
 
     /// Allocate and return a fresh variable.
@@ -286,8 +424,8 @@ impl SatSolver {
         self.reason.push(CLAUSE_NONE);
         self.activity.push(0.0);
         self.saved_phase.push(false);
-        // After a reset the watch lists beyond the live variables are
-        // already empty; reuse them rather than reallocating.
+        // After a reset or a rollback the watch lists beyond the live
+        // variables are already empty; reuse them rather than reallocating.
         if self.watches.len() < 2 * self.assign.len() {
             self.watches.push(Vec::new());
             self.watches.push(Vec::new());
@@ -305,6 +443,13 @@ impl SatSolver {
     /// Number of clauses (original + learned).
     pub fn num_clauses(&self) -> usize {
         self.clauses.len()
+    }
+
+    /// Number of variables fixed at decision level 0: between solves,
+    /// the units added or learned so far and what they imply.
+    pub fn num_fixed(&self) -> usize {
+        debug_assert!(self.trail_lim.is_empty(), "num_fixed above level 0");
+        self.trail.len()
     }
 
     fn value(&self, l: Lit) -> LBool {
@@ -330,34 +475,52 @@ impl SatSolver {
     /// Add a clause (disjunction of literals). Must be called before `solve`
     /// at decision level 0. Returns false if the formula became trivially
     /// unsatisfiable. The clause is stored sorted, deduplicated and without
-    /// its literals falsified at level 0, in a buffer taken from `spare`;
-    /// a unit is propagated at once.
+    /// its literals falsified at level 0; a unit is propagated at once.
+    /// A clause of up to three literals (every Tseitin gate clause) is
+    /// simplified in a stack array, a longer one in a reused buffer.
     pub fn add_clause(&mut self, lits: &[Lit]) -> bool {
         debug_assert!(self.trail_lim.is_empty(), "add_clause above level 0");
         if self.unsat {
             return false;
         }
-        let mut c = self.spare_copy(lits);
+        if lits.len() <= 3 {
+            let mut c = [Lit(0); 3];
+            c[..lits.len()].copy_from_slice(lits);
+            return self.add_simplified(&mut c[..lits.len()]);
+        }
+        let mut c = std::mem::take(&mut self.tmp);
+        save(&mut c, lits);
+        let ok = self.add_simplified(&mut c);
+        self.tmp = c;
+        ok
+    }
+
+    /// [`SatSolver::add_clause`] on a scratch copy `c` of the clause.
+    fn add_simplified(&mut self, c: &mut [Lit]) -> bool {
         c.sort_unstable();
-        c.dedup();
+        let n = dedup_sorted(c);
         // A tautology (l and !l sit side by side once sorted) or a clause
         // satisfied at level 0 adds nothing.
-        if c.windows(2).any(|w| w[0] == w[1].negate())
-            || c.iter().any(|&l| self.value(l) == LBool::True)
+        if c[..n].windows(2).any(|w| w[0] == w[1].negate())
+            || c[..n].iter().any(|&l| self.value(l) == LBool::True)
         {
-            self.spare.push(c);
             return true;
         }
-        c.retain(|&l| self.value(l) == LBool::Undef);
-        match c.len() {
+        // Keep the literals not yet falsified at level 0.
+        let mut k = 0;
+        for i in 0..n {
+            if self.value(c[i]) == LBool::Undef {
+                c[k] = c[i];
+                k += 1;
+            }
+        }
+        match k {
             0 => {
-                self.spare.push(c);
                 self.unsat = true;
                 false
             }
             1 => {
                 self.enqueue(c[0], CLAUSE_NONE);
-                self.spare.push(c);
                 if self.propagate().is_some() {
                     self.unsat = true;
                     false
@@ -366,7 +529,7 @@ impl SatSolver {
                 }
             }
             _ => {
-                self.attach_clause(c);
+                self.attach_clause(&c[..k]);
                 true
             }
         }
@@ -387,19 +550,22 @@ impl SatSolver {
             [a, b, c] => a.var() != b.var() && a.var() != c.var() && b.var() != c.var(),
             _ => false,
         };
-        let mut c = self.spare_copy(lits);
-        if !distinct {
-            c.sort_unstable();
-            c.dedup();
-            if c.windows(2).any(|w| w[0] == w[1].negate()) {
-                self.spare.push(c);
-                return;
-            }
-            if c.len() == 1 {
-                self.add_unit(c[0]);
-                self.spare.push(c);
-                return;
-            }
+        if distinct {
+            self.attach_clause(lits);
+            return;
+        }
+        let mut buf = [Lit(0); 3];
+        let c = &mut buf[..lits.len()];
+        c.copy_from_slice(lits);
+        c.sort_unstable();
+        let n = dedup_sorted(c);
+        let c = &c[..n];
+        if c.windows(2).any(|w| w[0] == w[1].negate()) {
+            return;
+        }
+        if n == 1 {
+            self.add_unit(c[0]);
+            return;
         }
         self.attach_clause(c);
     }
@@ -414,19 +580,16 @@ impl SatSolver {
         }
     }
 
-    /// `lits` copied into a recycled buffer from `spare`.
-    fn spare_copy(&mut self, lits: &[Lit]) -> Vec<Lit> {
-        let mut c = self.spare.pop().unwrap_or_default();
-        c.clear();
-        c.extend_from_slice(lits);
-        c
-    }
-
-    fn attach_clause(&mut self, lits: Vec<Lit>) -> u32 {
+    fn attach_clause(&mut self, lits: &[Lit]) -> u32 {
         let idx = self.clauses.len() as u32;
         self.watches[lits[0].negate().index()].push(idx);
         self.watches[lits[1].negate().index()].push(idx);
-        self.clauses.push(Clause { lits });
+        let start = u32::try_from(self.arena.len()).expect("clause arena outgrew u32 offsets");
+        self.clauses.push(ClauseRef {
+            start,
+            len: lits.len() as u32,
+        });
+        self.arena.extend_from_slice(lits);
         idx
     }
 
@@ -450,30 +613,28 @@ impl SatSolver {
             // watches under the *negation* of the watched literal so that
             // assigning p wakes clauses whose watched literal became false).
             let mut ws = std::mem::take(&mut self.watches[p.index()]);
+            let false_lit = p.negate();
             let mut i = 0;
             while i < ws.len() {
                 let ci = ws[i];
-                let false_lit = p.negate();
+                let lits = self.clauses[ci as usize].range();
+                let s = lits.start;
                 // Ensure the false literal is in slot 1.
-                {
-                    let cl = &mut self.clauses[ci as usize];
-                    if cl.lits[0] == false_lit {
-                        cl.lits.swap(0, 1);
-                    }
-                    debug_assert_eq!(cl.lits[1], false_lit);
+                if self.arena[s] == false_lit {
+                    self.arena.swap(s, s + 1);
                 }
-                let first = self.clauses[ci as usize].lits[0];
+                debug_assert_eq!(self.arena[s + 1], false_lit);
+                let first = self.arena[s];
                 if self.value(first) == LBool::True {
                     i += 1;
                     continue; // clause satisfied
                 }
                 // Look for a new literal to watch.
                 let mut moved = false;
-                let len = self.clauses[ci as usize].lits.len();
-                for k in 2..len {
-                    let lk = self.clauses[ci as usize].lits[k];
+                for k in s + 2..lits.end {
+                    let lk = self.arena[k];
                     if self.value(lk) != LBool::False {
-                        self.clauses[ci as usize].lits.swap(1, k);
+                        self.arena.swap(s + 1, k);
                         self.watches[lk.negate().index()].push(ci);
                         ws.swap_remove(i);
                         moved = true;
@@ -508,11 +669,13 @@ impl SatSolver {
         self.order.bump(v, &self.activity);
     }
 
-    /// First-UIP conflict analysis. Returns (learned clause, backjump level).
+    /// First-UIP conflict analysis. Returns (learned clause, backjump level);
+    /// the clause is the `tmp` buffer, which the caller hands back.
     /// Reason clauses are read in place, and the `seen` marks are cleared
     /// again before returning, so the buffer is reused across conflicts.
     fn analyze(&mut self, conflict: u32) -> (Vec<Lit>, u32) {
-        let mut learned = self.spare_copy(&[Lit(0)]); // slot for the asserting lit
+        let mut learned = std::mem::take(&mut self.tmp);
+        save(&mut learned, &[Lit(0)]); // slot for the asserting lit
         let mut seen = std::mem::take(&mut self.seen);
         seen.resize(self.assign.len(), false);
         let mut counter = 0usize;
@@ -523,8 +686,8 @@ impl SatSolver {
 
         loop {
             let start = if p.is_none() { 0 } else { 1 };
-            for k in start..self.clauses[clause as usize].lits.len() {
-                let q = self.clauses[clause as usize].lits[k];
+            for k in self.clauses[clause as usize].range().skip(start) {
+                let q = self.arena[k];
                 let v = q.var() as usize;
                 if !seen[v] && self.level[v] > 0 {
                     seen[v] = true;
@@ -664,12 +827,11 @@ impl SatSolver {
                 self.var_inc /= 0.95; // VSIDS decay
                 if learned.len() == 1 {
                     self.enqueue(learned[0], CLAUSE_NONE);
-                    self.spare.push(learned);
                 } else {
-                    let asserting = learned[0];
-                    let ci = self.attach_clause(learned);
-                    self.enqueue(asserting, ci);
+                    let ci = self.attach_clause(&learned);
+                    self.enqueue(learned[0], ci);
                 }
+                self.tmp = learned;
             } else {
                 if conflicts_this_restart >= conflicts_until_restart {
                     restart_count += 1;
@@ -907,6 +1069,119 @@ mod tests {
         s.reset();
         assert!(!s.add_clause(&[]));
         assert_eq!(s.solve(), SatOutcome::Unsat);
+    }
+
+    /// Every part of the instance's state a later `solve` can read.
+    fn state(s: &SatSolver) -> String {
+        let lits = 2 * s.assign.len();
+        format!(
+            "{:?}",
+            (
+                (&s.arena, &s.clauses, &s.watches[..lits], &s.trail, s.qhead),
+                (&s.assign, &s.level, &s.reason, &s.activity, &s.saved_phase),
+                (&s.order.heap, &s.order.pos, s.var_inc, s.unsat),
+                (s.conflicts, s.decisions, s.propagations, &s.trail_lim),
+            )
+        )
+    }
+
+    #[test]
+    fn rollback_returns_to_the_state_of_a_new_instance() {
+        // Prefix: 60 variables, a few level-0 units and random 3-clauses.
+        // Suffix: a 6-into-5 pigeonhole over 30 more variables whose
+        // pigeon clauses all hold once a 91st variable `e` does (or a
+        // prefix variable that implies `e`), and `e` implies two prefix
+        // literals. The search refutes the pigeonhole under `!e`, which
+        // it decides first, so it learns clauses over prefix and suffix
+        // variables and then the unit `e`, whose implications reach
+        // back into the prefix at level 0.
+        let mut seed = 0x9e3779b97f4a7c15u64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        let prefix: Vec<Vec<Lit>> = (0..120)
+            .map(|k| {
+                let len = if k % 40 == 0 { 1 } else { 3 };
+                (0..len)
+                    .map(|_| Lit::new((next() % 60) as u32, next() % 2 == 1))
+                    .collect()
+            })
+            .collect();
+        let load_prefix = |s: &mut SatSolver| {
+            for _ in 0..60 {
+                s.new_var();
+            }
+            for c in &prefix {
+                s.add_clause(c);
+            }
+        };
+        let p = |i: u32, j: u32| 60 + i * 5 + j;
+        let e = 90;
+        let suffix = |s: &mut SatSolver, budget: Option<u64>| {
+            for _ in 0..31 {
+                s.new_var();
+            }
+            for i in 0..6u32 {
+                let mut c: Vec<Lit> = (0..5).map(|j| Lit::pos(p(i, j))).collect();
+                c.extend([Lit::pos(e), Lit::pos(20 + i)]);
+                s.add_clause(&c);
+                s.add_clause(&[Lit::neg(20 + i), Lit::pos(e)]);
+            }
+            s.add_clause(&[Lit::neg(e), Lit::pos(7)]);
+            s.add_clause(&[Lit::neg(e), Lit::neg(8)]);
+            for j in 0..5u32 {
+                for i1 in 0..6u32 {
+                    for i2 in (i1 + 1)..6 {
+                        s.add_clause(&[Lit::neg(p(i1, j)), Lit::neg(p(i2, j))]);
+                    }
+                }
+            }
+            s.max_conflicts = budget;
+            let out = s.solve();
+            let model: Vec<bool> = (0..91).map(|v| s.model_value(v)).collect();
+            (out, model, state(s))
+        };
+
+        let mut reused = SatSolver::new();
+        load_prefix(&mut reused);
+        let at_checkpoint = state(&reused);
+        let fixed = reused.trail.len();
+        assert!(fixed > 0, "the prefix fixes variables at level 0");
+        reused.checkpoint();
+        let first = suffix(&mut reused, None);
+        assert!(
+            reused.num_clauses() > reused.cp.clauses + 6 + 2 + 75,
+            "the search learned clauses"
+        );
+        assert!(
+            reused.trail.len() > fixed,
+            "the search learned level-0 units"
+        );
+        assert_eq!(reused.value(Lit::pos(e)), LBool::True, "`e` is fixed");
+        assert!(
+            reused.activity[..60].iter().any(|&a| a > 0.0),
+            "conflicts bumped prefix variables"
+        );
+        assert_eq!(first.0, SatOutcome::Sat);
+
+        for budget in [None, Some(3), None] {
+            reused.rollback();
+            let mut new = SatSolver::new();
+            load_prefix(&mut new);
+            assert_eq!(state(&new), at_checkpoint);
+            assert_eq!(state(&reused), at_checkpoint, "budget {budget:?}");
+            let got = suffix(&mut reused, budget);
+            let want = suffix(&mut new, budget);
+            assert_eq!(got, want, "budget {budget:?}");
+            if budget.is_none() {
+                assert_eq!(got, first);
+            } else {
+                assert_eq!(got.0, SatOutcome::Unknown);
+            }
+        }
     }
 
     #[test]

@@ -163,8 +163,10 @@ pub struct SolverStats {
     pub cnf_cache_hits: u64,
     /// Nanoseconds spent bit-blasting terms to CNF (fresh and
     /// incremental paths combined). On the fresh path this includes
-    /// resetting the reused instance; with no per-query teardown left,
-    /// it and `search_ns` together cover nearly all fresh-solve time.
+    /// resetting the reused instance, or rolling it back to its resident
+    /// first conjunct, and taking the checkpoint; with no per-query
+    /// teardown left, it and `search_ns` together cover nearly all
+    /// fresh-solve time.
     pub bitblast_ns: u64,
     /// Nanoseconds spent in CDCL search (fresh and incremental paths
     /// combined); see `bitblast_ns` for the rest of a fresh solve.
@@ -358,6 +360,10 @@ pub struct Solver {
     /// to exactly the CNF a new one would, so verdicts and models do not
     /// depend on the queries before it.
     fresh: Option<BitBlaster>,
+    /// The first residual conjunct whose encoding `fresh` holds at its
+    /// checkpoint: a query that starts with the same conjunct rolls back
+    /// to it instead of resetting and encoding it again.
+    resident: Option<Term>,
 }
 
 impl Solver {
@@ -376,6 +382,7 @@ impl Solver {
             cache,
             incremental: None,
             fresh: None,
+            resident: None,
         }
     }
 
@@ -491,12 +498,26 @@ impl Solver {
         if let Some(refuted) = self.probe_incremental(assertions) {
             return refuted;
         }
-        // Phase 2: bit-blast and solve, on the reused instance.
+        // Phase 2: bit-blast and solve, on the reused instance. The state
+        // after the first residual conjunct stays resident: a query that
+        // starts with the same conjunct rolls back to it, any other one
+        // resets, encodes its own first conjunct and checkpoints. Either
+        // way the instance then holds exactly what a new one would after
+        // that conjunct, so the CNF, the search and the model are those of
+        // a brand-new instance.
         let t0 = Instant::now();
         let bb = self.fresh.get_or_insert_with(BitBlaster::new);
-        bb.reset();
+        let (first, rest) = residual.split_first().expect("a residual is never empty");
+        if self.resident.as_ref().is_some_and(|r| r.id() == first.id()) {
+            bb.rollback();
+        } else {
+            bb.reset();
+            bb.assert_term(first);
+            bb.checkpoint();
+            self.resident = Some(first.clone());
+        }
         bb.sat.max_conflicts = self.budget.max_conflicts;
-        for t in &residual {
+        for t in rest {
             bb.assert_term(t);
         }
         self.stats.bitblast_ns += t0.elapsed().as_nanos() as u64;

@@ -1,12 +1,16 @@
-//! The fresh solve reuses one bit-blaster and SAT instance per [`Solver`].
+//! The fresh solve reuses one bit-blaster and SAT instance per [`Solver`],
+//! and keeps the state after a query's first residual conjunct resident
+//! for the next query that starts with the same conjunct.
 //!
 //! Reuse is a pure speed lever: a query solved on an instance that has
 //! already held other queries must see exactly the CNF, the search and the
 //! model a brand-new solver would. These tests drive one long-lived solver
 //! (with a private verdict cache, so every distinct query reaches the
-//! fresh solve) through a seeded query sequence and compare every answer,
+//! fresh solve) through seeded query sequences and compare every answer,
 //! and every per-query solver counter, against a new [`Solver`] per query.
 
+use soft_smt::bitblast::BitBlaster;
+use soft_smt::simplify::{propagate_equalities, Preprocessed};
 use soft_smt::{SatResult, Solver, SolverBudget, SolverStats, Term};
 use std::collections::HashSet;
 
@@ -222,4 +226,116 @@ fn reused_instance_matches_a_new_solver_per_query() {
             "small query built {small_vars} vars, large {big_vars}"
         );
     }
+}
+
+/// The residual conjuncts `Solver::check` bit-blasts for `query`: the
+/// canonical key after equality propagation, or `None` when
+/// simplification decides the query.
+fn residual(query: &[Term]) -> Option<Vec<Term>> {
+    let mut key = query.to_vec();
+    key.sort_unstable_by(Term::structural_cmp);
+    key.dedup();
+    match propagate_equalities(&key) {
+        Preprocessed::Residual(r) => Some(r),
+        _ => None,
+    }
+}
+
+/// The number of level-0 units the fresh solve of `residual` learns
+/// under `budget`, replayed on a new bit-blaster.
+fn learned_units(residual: &[Term], budget: SolverBudget) -> usize {
+    let mut bb: BitBlaster = BitBlaster::new();
+    for t in residual {
+        bb.assert_term(t);
+    }
+    let loaded = bb.sat.num_fixed();
+    bb.sat.max_conflicts = budget.max_conflicts;
+    bb.sat.solve();
+    bb.sat.num_fixed() - loaded
+}
+
+/// A conjunct that costs the SAT search some conflicts: an 8-bit product
+/// and sum pinned to a constant.
+fn anchor(rng: &mut Rng) -> Term {
+    let (x, y, z) = (var(rng), var(rng), var(rng));
+    let lhs = x.bvmul(y).bvadd(z);
+    let c = Term::bv_const(W, rng.below(256));
+    if rng.below(2) == 0 {
+        lhs.eq(c)
+    } else {
+        lhs.ult(c)
+    }
+}
+
+#[test]
+fn resident_first_conjunct_matches_a_new_solver_per_query() {
+    // Blocks of queries that share one costly conjunct beside one or two
+    // random ones; a fifth of them run under a one- or three-conflict
+    // budget. A query whose first residual conjunct is the one the
+    // previous fresh solve started with rolls back to it (a resident
+    // hit); any other query resets and checkpoints (a miss).
+    let (mut hits, mut misses) = (0, 0);
+    let (mut sat_hits, mut unknown_hits, mut hits_after_units) = (0, 0, 0);
+    let mut capped_before_hit = 0;
+    for seed in [11u64, 0xC0FF_EE11, 0x5EED_0024] {
+        let mut rng = Rng(seed);
+        let mut reused = Solver::new();
+        let mut asked: HashSet<Vec<String>> = HashSet::new();
+        // The first conjunct the reused solver holds resident, and what
+        // the fresh solve that put it there did: learned level-0 units,
+        // ran under a conflict cap.
+        let mut resident: Option<(u64, usize, bool)> = None;
+        for block in 0..16 {
+            let shared = anchor(&mut rng);
+            for q in 0..6 {
+                let n = 1 + rng.below(2) as usize;
+                let mut query = vec![shared.clone()];
+                query.extend((0..n).map(|_| bool_term(&mut rng, 2)));
+                let mut key: Vec<String> = query.iter().map(|t| t.to_string()).collect();
+                key.sort();
+                key.dedup();
+                if !asked.insert(key) {
+                    continue;
+                }
+                let budget = match rng.below(10) {
+                    0 => SolverBudget::conflicts(1),
+                    1 => SolverBudget::conflicts(3),
+                    _ => SolverBudget::unlimited(),
+                };
+                let at = format!("seed {seed:#x} block {block} query {q}");
+                let (got, vars) = check_both(&mut reused, &query, budget, &at);
+                if vars == 0 {
+                    continue; // decided without the fresh solve
+                }
+                let r = residual(&query).expect("a fresh solve has a residual");
+                let first = r[0].id();
+                match resident {
+                    Some((id, units, capped)) if id == first => {
+                        hits += 1;
+                        sat_hits += got.is_sat() as usize;
+                        unknown_hits += (got == SatResult::Unknown) as usize;
+                        hits_after_units += (units > 0) as usize;
+                        capped_before_hit += capped as usize;
+                    }
+                    _ => misses += 1,
+                }
+                resident = Some((first, learned_units(&r, budget), !budget.is_unlimited()));
+            }
+        }
+    }
+    // Every kind of state a rollback must undo has to occur before some
+    // hit, or the comparison is vacuous.
+    let seen = [
+        hits,
+        misses,
+        sat_hits,
+        unknown_hits,
+        hits_after_units,
+        capped_before_hit,
+    ];
+    assert!(
+        seen.iter().all(|&n| n > 0),
+        "[hits, misses, Sat hits, Unknown hits, hits after learned units, \
+         hits after a capped solve] = {seen:?}"
+    );
 }
