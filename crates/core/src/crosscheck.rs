@@ -547,25 +547,22 @@ fn worker_solver(cache: Arc<VerdictCache>, budget: SolverBudget, incremental: bo
     solver
 }
 
-/// The `todo` pairs in the chunks [`solve_pass`] hands its workers. A
-/// worker's fresh solve keeps the encoding of a query's first residual
-/// conjunct resident for the next query that starts with it, so pairs
-/// whose canonical queries share their first conjunct go into one chunk,
-/// in `todo` order. The key is a cheap guess at that conjunct (the
-/// leftmost conjunct of the first non-`true` term in canonical order,
-/// before simplification): it decides only how often the resident
-/// encoding is reused, never a verdict. Chunks hold at most a quarter of
-/// one worker's share, so a test dominated by one key still spreads, and
-/// larger chunks are claimed first.
+/// The `todo` pairs in the order [`solve_pass`] hands them to its
+/// workers. A worker's fresh solve keeps the encoding of a query's first
+/// residual conjunct resident for the next query that starts with it, so
+/// pairs whose canonical queries share their first conjunct are handed
+/// out one after another, in `todo` order. The key is a cheap guess at
+/// that conjunct (the leftmost conjunct of the first non-`true` term in
+/// canonical order, before simplification): it decides only how often
+/// the resident encoding is reused, never a verdict.
 fn schedule(
     a: &GroupedResults,
     b: &GroupedResults,
     pairs: &[(usize, usize, Term)],
     todo: &[usize],
-    jobs: usize,
-) -> Vec<Vec<usize>> {
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    let mut group_of: HashMap<Option<u64>, usize> = HashMap::new();
+) -> Vec<usize> {
+    let mut runs: Vec<Vec<usize>> = Vec::new();
+    let mut run_of: HashMap<Option<u64>, usize> = HashMap::new();
     for &k in todo {
         let (i, j, differ) = &pairs[k];
         let key = [&a.groups[*i].condition, &b.groups[*j].condition, differ]
@@ -578,31 +575,22 @@ fn schedule(
                 }
                 t.id()
             });
-        let g = *group_of.entry(key).or_insert_with(|| {
-            groups.push(Vec::new());
-            groups.len() - 1
+        let r = *run_of.entry(key).or_insert_with(|| {
+            runs.push(Vec::new());
+            runs.len() - 1
         });
-        groups[g].push(k);
+        runs[r].push(k);
     }
-    let cap = todo.len().div_ceil(4 * jobs.max(1)).max(1);
-    let mut chunks: Vec<Vec<usize>> = groups
-        .iter()
-        .flat_map(|g| g.chunks(cap))
-        .map(<[usize]>::to_vec)
-        .collect();
-    chunks.sort_by_key(|c| std::cmp::Reverse(c.len()));
-    chunks
+    runs.concat()
 }
 
 /// Solve the `todo` subset of the pair matrix under `budget`, filling the
-/// corresponding slots. The pairs are fanned over `cfg.jobs` workers,
-/// each with its own [`worker_solver`]: one pair at a time when the
-/// workers carry an incremental memo, in the chunks of [`schedule`] when
-/// every query takes the fresh solve. Verdicts are written back by pair
-/// index, so the merge order is independent of scheduling. Each worker's
-/// solver statistics are merged into `stats` when the pass completes. A
-/// worker panic is not contained: it reaches the caller and aborts the
-/// pass.
+/// corresponding slots. The pairs are fanned over `cfg.jobs` workers in
+/// the order of [`schedule`], one at a time, each worker with its own
+/// [`worker_solver`], and verdicts are written back by pair index, so the
+/// merge order is independent of scheduling. Each worker's solver
+/// statistics are merged into `stats` when the pass completes. A worker
+/// panic is not contained: it reaches the caller and aborts the pass.
 #[allow(clippy::too_many_arguments)] // private plumbing shared by every pass
 fn solve_pass(
     a: &GroupedResults,
@@ -619,36 +607,23 @@ fn solve_pass(
         return;
     }
     let incremental = cfg.incremental && budget.is_unlimited();
-    let init = || worker_solver(Arc::clone(cache), budget, incremental);
-    let query = |solver: &mut Solver, k: usize| {
-        let (i, j, differ) = &pairs[k];
-        solver.check(&[
-            a.groups[*i].condition.clone(),
-            b.groups[*j].condition.clone(),
-            differ.clone(),
-        ])
-    };
-    let solvers = if incremental {
-        // With a memo, only the pairs whose probe is not Unsat reach the
-        // fresh solve, so chunking saves no time here, while it raised
-        // `soft serve`'s peak memory; workers claim single pairs.
-        let (verdicts, solvers) = par_map(cfg.jobs, todo, init, |s, &k| query(s, k));
-        for (&k, v) in todo.iter().zip(verdicts) {
-            slots[k] = Some((v, budget));
-        }
-        solvers
-    } else {
-        let chunks = schedule(a, b, pairs, todo, cfg.jobs);
-        let (verdicts, solvers) = par_map(cfg.jobs, &chunks, init, |s, chunk| {
-            chunk.iter().map(|&k| query(s, k)).collect::<Vec<_>>()
-        });
-        for (chunk, vs) in chunks.iter().zip(verdicts) {
-            for (&k, v) in chunk.iter().zip(vs) {
-                slots[k] = Some((v, budget));
-            }
-        }
-        solvers
-    };
+    let order = schedule(a, b, pairs, todo);
+    let (verdicts, solvers) = par_map(
+        cfg.jobs,
+        &order,
+        || worker_solver(Arc::clone(cache), budget, incremental),
+        |solver, &k| {
+            let (i, j, differ) = &pairs[k];
+            solver.check(&[
+                a.groups[*i].condition.clone(),
+                b.groups[*j].condition.clone(),
+                differ.clone(),
+            ])
+        },
+    );
+    for (&k, v) in order.iter().zip(verdicts) {
+        slots[k] = Some((v, budget));
+    }
     for solver in &solvers {
         stats.merge(&solver.stats);
     }
@@ -970,7 +945,7 @@ mod tests {
     }
 
     #[test]
-    fn chunked_schedule_solves_each_pair_once_in_pair_order() {
+    fn scheduled_pairs_are_solved_once_in_pair_order() {
         // Conditions that share subterms and reach the SAT core (a
         // product no equality propagation removes), one `true` condition,
         // and one output both agents produce (its pair is skipped).
@@ -1003,7 +978,7 @@ mod tests {
         .expect("grouping");
 
         // The schedule hands out every `todo` index exactly once, for the
-        // whole matrix and for a subset, at any job count.
+        // whole matrix and for a subset.
         let pairs: Vec<(usize, usize, Term)> = (0..a.groups.len())
             .flat_map(|i| (0..b.groups.len()).map(move |j| (i, j)))
             .filter(|&(i, j)| a.groups[i].output != b.groups[j].output)
@@ -1018,11 +993,9 @@ mod tests {
         let every: Vec<usize> = (0..pairs.len()).collect();
         let odd: Vec<usize> = every.iter().copied().filter(|k| k % 2 == 1).collect();
         for todo in [&every, &odd] {
-            for jobs in [1, 2, 4] {
-                let mut got: Vec<usize> = schedule(&a, &b, &pairs, todo, jobs).concat();
-                got.sort_unstable();
-                assert_eq!(&got, todo, "jobs={jobs}");
-            }
+            let mut got = schedule(&a, &b, &pairs, todo);
+            got.sort_unstable();
+            assert_eq!(&got, todo);
         }
 
         // The verdict matrix, models included, is the same for every job

@@ -384,10 +384,11 @@ impl SatSolver {
     /// Return to the state saved by the last [`SatSolver::checkpoint`]:
     /// the variables, original clauses and learned clauses added since
     /// are gone, and everything the checkpoint saved is as it was. The
-    /// conflict budget and the checkpoint itself stay.
+    /// conflict budget and the checkpoint itself stay. A search cut short
+    /// above level 0 (by a panic) is undone too: its decision levels go.
     pub fn rollback(&mut self) {
         assert!(self.cp.taken, "rollback without a checkpoint");
-        debug_assert!(self.trail_lim.is_empty(), "rollback above level 0");
+        self.trail_lim.clear();
         let cp = &self.cp;
         let saved_lits = cp.watch_lens.len();
         for w in &mut self.watches[saved_lits..2 * self.assign.len()] {
@@ -1182,6 +1183,21 @@ mod tests {
                 assert_eq!(got.0, SatOutcome::Unknown);
             }
         }
+
+        // A search cut short above level 0, as by a panic inside it, is
+        // undone as well.
+        reused.rollback();
+        for _ in 0..31 {
+            reused.new_var();
+        }
+        reused.add_clause(&[Lit::neg(e), Lit::pos(7)]);
+        while reused.trail_lim.len() < 3 && reused.decide() {
+            reused.propagate();
+        }
+        assert!(!reused.trail_lim.is_empty(), "the search left level 0");
+        reused.rollback();
+        assert_eq!(state(&reused), at_checkpoint);
+        assert_eq!(suffix(&mut reused, None), first);
     }
 
     #[test]

@@ -511,6 +511,9 @@ impl Solver {
         if self.resident.as_ref().is_some_and(|r| r.id() == first.id()) {
             bb.rollback();
         } else {
+            // Named only once the checkpoint holds it, so a query that
+            // panics on the way leaves no stale resident behind.
+            self.resident = None;
             bb.reset();
             bb.assert_term(first);
             bb.checkpoint();

@@ -339,3 +339,30 @@ fn resident_first_conjunct_matches_a_new_solver_per_query() {
          hits after a capped solve] = {seen:?}"
     );
 }
+
+#[test]
+fn a_query_panicking_after_reset_leaves_no_stale_resident() {
+    // The second query cannot be encoded (a bit-vector term asserted as
+    // a formula), so it panics after the instance was reset for it. The
+    // third query starts with the conjunct that was resident before the
+    // panic; it must get a new solver's answer, not a rollback to the
+    // checkpoint the reset dropped.
+    let mut reused = Solver::new();
+    let first = large_query("p", 1234);
+    check_both(&mut reused, &first, SolverBudget::unlimited(), "before");
+    let bad = Term::var("reuse.bad", W).bvadd(Term::var("reuse.c", W));
+    let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        reused.check(&[bad]);
+    }));
+    assert!(panicked.is_err(), "the bit-vector assertion panics");
+    let resident = residual(&first).unwrap()[0].id();
+    let third = (0..64)
+        .map(|k| {
+            let mut q = first.clone();
+            q.push(Term::var("reuse.p1", 16).ne(Term::bv_const(16, k)));
+            q
+        })
+        .find(|q| residual(q).unwrap()[0].id() == resident)
+        .expect("some extra conjunct sorts after the resident one");
+    check_both(&mut reused, &third, SolverBudget::unlimited(), "after");
+}
