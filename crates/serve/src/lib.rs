@@ -1,10 +1,11 @@
-//! # soft-serve — signal plumbing
+//! # soft-serve — signal and heap plumbing
 //!
-//! The two things the `soft` CLI needs that safe, dependency-free Rust
-//! cannot express: a SIGTERM latch for the `soft serve` daemon, and the
-//! default SIGPIPE disposition for the one-shot commands. The rest of
-//! the workspace forbids `unsafe`; this crate exists to confine the
-//! `signal(2)` calls (std already links libc) to an auditable corner.
+//! The three things the `soft` CLI needs that safe, dependency-free Rust
+//! cannot express: a SIGTERM latch for the `soft serve` daemon, a fixed
+//! malloc mmap threshold for the same daemon, and the default SIGPIPE
+//! disposition for the one-shot commands. The rest of the workspace
+//! forbids `unsafe`; this crate exists to confine the `signal(2)` and
+//! `mallopt(3)` calls (std already links libc) to an auditable corner.
 //! The SIGTERM handler does the only thing that is async-signal-safe —
 //! it stores into a static atomic — and a watcher thread polls the
 //! latch, then wakes the daemon's blocked accept to begin a drain.
@@ -71,6 +72,47 @@ mod imp {
     }
 }
 
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+mod heap {
+    /// `M_MMAP_THRESHOLD` from glibc's `<malloc.h>`.
+    const M_MMAP_THRESHOLD: i32 = -3;
+    /// glibc's default (`DEFAULT_MMAP_THRESHOLD_MIN`) on every target.
+    const THRESHOLD: i32 = 128 * 1024;
+
+    extern "C" {
+        /// `mallopt(3)` from glibc (linked by std on linux-gnu).
+        fn mallopt(param: i32, value: i32) -> i32;
+    }
+
+    pub fn pin_mmap_threshold() -> bool {
+        // SAFETY: `mallopt` is the glibc prototype declared above; it
+        // only changes a tuning parameter of the allocator, under the
+        // allocator's own lock.
+        unsafe { mallopt(M_MMAP_THRESHOLD, THRESHOLD) == 1 }
+    }
+}
+
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+mod heap {
+    pub fn pin_mmap_threshold() -> bool {
+        // Not glibc: its allocator has no dynamic threshold to pin.
+        false
+    }
+}
+
+/// Pin glibc's mmap threshold at its 128 KiB default, so that every
+/// block of that size or more is mapped on its own and unmapped when
+/// freed. By default the threshold rises to the size of each mapped
+/// block freed (up to 32 MiB), after which such blocks are carved from
+/// the per-thread malloc arenas and stay resident there once freed; a
+/// daemon whose jobs run concurrently on whichever threads are free
+/// then reaches a peak memory that depends on the order in which its
+/// jobs happened to allocate and free large blocks. Returns
+/// `false` where the allocator is not glibc's or refused the setting.
+pub fn steady_heap() -> bool {
+    heap::pin_mmap_threshold()
+}
+
 /// Install the SIGTERM handler. Returns `false` if registration failed
 /// (or the platform has no SIGTERM), in which case the latch never
 /// fires and the daemon only stops via the `drain` protocol message.
@@ -122,5 +164,14 @@ mod tests {
         }
         assert_eq!(sigterm_count(), 2);
         reset_sigterm_latch();
+    }
+
+    #[test]
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    fn glibc_accepts_the_fixed_mmap_threshold() {
+        assert!(steady_heap());
+        // A block past the threshold still allocates, fills and frees.
+        let big = vec![7u8; 4 << 20];
+        assert!(big.iter().all(|&b| b == 7));
     }
 }

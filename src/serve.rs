@@ -637,6 +637,7 @@ pub fn serve(cfg: &ServeConfig) -> Result<(), String> {
         .workers
         .store(cfg.workers.max(1) as u64, Ordering::Relaxed);
     soft_serve::install_sigterm_latch();
+    soft_serve::steady_heap();
     for (key, spec) in state.store.list_inflight() {
         match resolve(spec) {
             Ok(rj) => {
