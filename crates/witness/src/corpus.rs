@@ -27,7 +27,7 @@ pub const CORPUS_FORMAT: u64 = 1;
 pub const DEFAULT_PROTOCOL: &str = "of10";
 
 /// One fully concrete test input.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum ConcreteInput {
     /// An OpenFlow control message, as raw wire bytes.
     Message(Vec<u8>),
@@ -237,7 +237,10 @@ impl CorpusEntry {
             .field("msg_types")?
             .as_array()?
             .iter()
-            .map(|t| t.as_u64().map(|v| v as u8))
+            .map(|t| {
+                let v = t.as_u64()?;
+                u8::try_from(v).map_err(|_| format!("message type {v} exceeds u8"))
+            })
             .collect::<Result<Vec<u8>, String>>()?;
         let inputs = j
             .field("inputs")?
@@ -434,6 +437,18 @@ impl Corpus {
             .iter()
             .map(CorpusEntry::from_json)
             .collect::<Result<Vec<CorpusEntry>, String>>()?;
+        // Cluster ids are assigned in first-seen order over the entries,
+        // so each is below the entry count; `clusters()` sizes by them.
+        for e in &entries {
+            if let Status::Confirmed { cluster } = e.status {
+                if cluster >= entries.len() {
+                    return Err(format!(
+                        "cluster id {cluster} out of range for {} entries",
+                        entries.len()
+                    ));
+                }
+            }
+        }
         let protocol = match body.field("protocol") {
             Ok(p) => p.as_str()?.to_string(),
             Err(_) => DEFAULT_PROTOCOL.to_string(),
@@ -471,10 +486,13 @@ fn unhex(s: &str) -> Result<Vec<u8>, String> {
     if !s.len().is_multiple_of(2) {
         return Err(format!("odd-length hex string '{s}'"));
     }
-    (0..s.len() / 2)
-        .map(|i| {
-            u8::from_str_radix(&s[2 * i..2 * i + 2], 16)
-                .map_err(|_| format!("invalid hex byte in '{s}'"))
+    // By bytes: a non-ASCII character must be refused, not split.
+    let digit = |c: u8| (c as char).to_digit(16);
+    s.as_bytes()
+        .chunks(2)
+        .map(|pair| match (digit(pair[0]), digit(pair[1])) {
+            (Some(hi), Some(lo)) => Ok((hi << 4 | lo) as u8),
+            _ => Err(format!("invalid hex byte in '{s}'")),
         })
         .collect()
 }
@@ -620,5 +638,7 @@ mod tests {
         );
         assert!(unhex("abc").is_err());
         assert!(unhex("zz").is_err());
+        assert!(unhex("+a").is_err());
+        assert!(unhex("\u{20ac}0").is_err());
     }
 }

@@ -24,10 +24,13 @@
 //! A witness that fails any confirmation stage becomes an `Unconfirmed`
 //! corpus entry carrying the reason — reported, never dropped. Stage 1–4
 //! and 6 are parallel per witness over `--jobs`; results are
-//! byte-identical for any worker count.
+//! byte-identical for any worker count. Stages 2–4 and 6 ask one
+//! divergence memo per distill ([`crate::memo`]), so each distinct
+//! candidate is replayed once however many witnesses or mutants reach it.
 
 use crate::corpus::{ConcreteInput, Corpus, CorpusEntry, Origin, Status};
 use crate::fuzz::mutate;
+use crate::memo::Memo;
 use crate::minimize::{free_positions, minimize, residual_bytes};
 use crate::rng::{stream_seed, SplitMix64};
 use soft_core::{
@@ -75,8 +78,15 @@ pub struct DistillStats {
     pub unconfirmed: usize,
     /// Divergent fuzz mutants added to the corpus.
     pub fuzz_added: usize,
-    /// Total concrete replay-pair evaluations spent.
+    /// Divergence-oracle checks: every candidate a stage asked about,
+    /// memo answers included. The count does not depend on the memo or
+    /// on `jobs`; `soft distill` prints it as "N replay pair(s)".
     pub replays: usize,
+    /// Replay pairs actually run: one per distinct candidate of a
+    /// distill (a candidate refused by the wire check counts, though it
+    /// starts no agent), plus the runs of precomputed drafts, which each
+    /// kept a memo of their own. Identical for any `jobs`.
+    pub replays_run: usize,
     /// Distinct root-cause clusters among confirmed entries.
     pub clusters: usize,
     /// Free (originally symbolic) bytes across all corpus entries.
@@ -124,23 +134,57 @@ fn wire_valid(proto: &dyn Protocol, inputs: &[ConcreteInput]) -> bool {
     })
 }
 
+/// What one replay of a candidate showed: the memoized answer of the
+/// divergence oracle.
+#[derive(Clone)]
+enum Replay {
+    /// Not valid wire format; no agent ran.
+    Invalid,
+    /// An agent refused the inputs: the reason, naming the agent.
+    Refused(String),
+    /// Both agents ran to the same trace.
+    Agrees,
+    /// Both agents ran, and their traces differ.
+    Diverges(ObservedOutput, ObservedOutput),
+}
+
+/// One distill's divergence memo, shared by every stage and worker.
+type ReplayMemo = Memo<Replay>;
+
+/// Replay a candidate: the wire check, then both agents concretely. A
+/// pure function of its inputs, so a memo answer is the answer a fresh
+/// replay gives.
+fn replay(a: AgentRef, b: AgentRef, inputs: &[ConcreteInput]) -> Replay {
+    if !wire_valid(a.protocol, inputs) {
+        return Replay::Invalid;
+    }
+    let concrete: Vec<Input> = inputs.iter().map(|i| i.to_input()).collect();
+    let run = |agent: AgentRef| {
+        run_concrete(agent, &concrete)
+            .map_err(|e| format!("concrete replay of {} failed: {e}", agent.id()))
+    };
+    match run(a).and_then(|oa| Ok((oa, run(b)?))) {
+        Err(reason) => Replay::Refused(reason),
+        Ok((oa, ob)) if oa == ob => Replay::Agrees,
+        Ok((oa, ob)) => Replay::Diverges(oa, ob),
+    }
+}
+
 /// The divergence oracle: `Some(outputs)` iff the candidate is wire-valid
 /// and the two agents' concrete traces differ. Counts every call in
-/// `replays`.
+/// `replays`, memo answers included.
 fn evaluate(
+    memo: &ReplayMemo,
     a: AgentRef,
     b: AgentRef,
     inputs: &[ConcreteInput],
     replays: &mut usize,
 ) -> Option<(ObservedOutput, ObservedOutput)> {
     *replays += 1;
-    if !wire_valid(a.protocol, inputs) {
-        return None;
+    match memo.get(inputs, || replay(a, b, inputs)) {
+        Replay::Diverges(oa, ob) => Some((oa, ob)),
+        _ => None,
     }
-    let concrete: Vec<Input> = inputs.iter().map(|i| i.to_input()).collect();
-    let oa = run_concrete(a, &concrete).ok()?;
-    let ob = run_concrete(b, &concrete).ok()?;
-    (oa != ob).then_some((oa, ob))
 }
 
 /// One witness through stages 1–4 (model completion, wire validation,
@@ -153,6 +197,9 @@ pub struct WitnessDraft {
     inputs: Vec<ConcreteInput>,
     outcome: Result<(ObservedOutput, ObservedOutput), String>,
     replays: usize,
+    /// Replays run on a memo of the draft's own ([`draft_witness`]); 0
+    /// for drafts on a distill's shared memo, which counts them itself.
+    replays_run: usize,
     free_bytes: usize,
     residual: usize,
 }
@@ -182,6 +229,7 @@ fn unconfirmed(
         inputs,
         outcome: Err(reason),
         replays,
+        replays_run: 0,
         free_bytes,
         residual,
     }
@@ -190,6 +238,7 @@ fn unconfirmed(
 /// Stages 1–4 for one inconsistency: complete the stored model, validate
 /// the wire format, confirm divergence by concrete replay on both agents,
 /// and minimize. Deterministic — independent of when or where it runs.
+/// Replays through a memo of its own, dropped on return.
 pub fn draft_witness(
     test: &TestCase,
     inc: &Inconsistency,
@@ -198,7 +247,23 @@ pub fn draft_witness(
     a: impl Into<AgentRef>,
     b: impl Into<AgentRef>,
 ) -> WitnessDraft {
+    let memo = ReplayMemo::new();
     let (a, b) = (a.into(), b.into());
+    let mut draft = draft_on(&memo, test, inc, grouped_a, grouped_b, a, b);
+    draft.replays_run = memo.len();
+    draft
+}
+
+/// [`draft_witness`] asking `memo` for every replay.
+fn draft_on(
+    memo: &ReplayMemo,
+    test: &TestCase,
+    inc: &Inconsistency,
+    grouped_a: &GroupedResults,
+    grouped_b: &GroupedResults,
+    a: AgentRef,
+    b: AgentRef,
+) -> WitnessDraft {
     let free = free_positions(test);
     let mut replays = 0;
 
@@ -230,50 +295,31 @@ pub fn draft_witness(
     }
     let inputs = to_concrete(&concretize_inputs(test, &witness));
 
-    // Stage 2: wire validation.
-    if !wire_valid(a.protocol, &inputs) {
-        return unconfirmed(
-            inputs,
-            &free,
-            format!(
+    // Stages 2 and 3: wire validation, then replay confirmation with
+    // per-agent reasons, so a failed witness says *which* side refused
+    // and why. One memoized replay: minimization's opening check below
+    // is its memo answer.
+    let refusal = match memo.get(&inputs, || replay(a, b, &inputs)) {
+        Replay::Invalid => {
+            let reason = format!(
                 "witness is not valid {} wire format (parse round-trip failed)",
                 a.protocol.wire_name()
-            ),
-            replays,
-        );
-    }
-
-    // Stage 3: replay confirmation — with per-agent reasons, so a failed
-    // witness says *which* side refused and why.
-    let concrete: Vec<Input> = inputs.iter().map(|i| i.to_input()).collect();
+            );
+            return unconfirmed(inputs, &free, reason, replays);
+        }
+        Replay::Refused(reason) => Some(reason),
+        Replay::Agrees => Some("replayed traces do not diverge".into()),
+        Replay::Diverges(..) => None,
+    };
     replays += 1;
-    let oa = match run_concrete(a, &concrete) {
-        Ok(o) => o,
-        Err(e) => {
-            let reason = format!("concrete replay of {} failed: {e}", a.id());
-            return unconfirmed(inputs, &free, reason, replays);
-        }
-    };
-    let ob = match run_concrete(b, &concrete) {
-        Ok(o) => o,
-        Err(e) => {
-            let reason = format!("concrete replay of {} failed: {e}", b.id());
-            return unconfirmed(inputs, &free, reason, replays);
-        }
-    };
-    if oa == ob {
-        return unconfirmed(
-            inputs,
-            &free,
-            "replayed traces do not diverge".into(),
-            replays,
-        );
+    if let Some(reason) = refusal {
+        return unconfirmed(inputs, &free, reason, replays);
     }
 
     // Stage 4: minimization (re-confirms divergence at every step).
     let spans = |m: &[u8]| a.protocol.message_spans(m);
     let minimized = minimize(&inputs, &free, &spans, |candidate| {
-        evaluate(a, b, candidate, &mut replays)
+        evaluate(memo, a, b, candidate, &mut replays)
     })
     .expect("stage 3 confirmed the starting inputs diverge");
     let residual = residual_bytes(&minimized.inputs, &free);
@@ -283,12 +329,14 @@ pub fn draft_witness(
         inputs: minimized.inputs,
         outcome: Ok((minimized.output_a, minimized.output_b)),
         replays,
+        replays_run: 0,
     }
 }
 
 /// Stage 6: fuzz the neighborhood of one confirmed witness. Returns
 /// divergent, minimized mutants in step order.
 fn fuzz_one(
+    memo: &ReplayMemo,
     parent_index: usize,
     parent_inputs: &[ConcreteInput],
     free: &[Vec<usize>],
@@ -308,13 +356,14 @@ fn fuzz_one(
             step,
         };
         let mut replays = 0;
-        if evaluate(a, b, &mutant, &mut replays).is_none() {
+        if evaluate(memo, a, b, &mutant, &mut replays).is_none() {
             out.push(Draft {
                 origin,
                 inner: WitnessDraft {
                     inputs: Vec::new(), // marker: not divergent, dropped later
                     outcome: Err(String::new()),
                     replays,
+                    replays_run: 0,
                     free_bytes: 0,
                     residual: 0,
                 },
@@ -322,7 +371,7 @@ fn fuzz_one(
             continue;
         }
         let minimized = minimize(&mutant, free, &spans, |candidate| {
-            evaluate(a, b, candidate, &mut replays)
+            evaluate(memo, a, b, candidate, &mut replays)
         })
         .expect("the mutant was just confirmed divergent");
         out.push(Draft {
@@ -333,6 +382,7 @@ fn fuzz_one(
                 inputs: minimized.inputs,
                 outcome: Ok((minimized.output_a, minimized.output_b)),
                 replays,
+                replays_run: 0,
             },
         })
     }
@@ -362,7 +412,8 @@ pub fn distill(
 /// [`draft_witness`] for `result.inconsistencies[k]`, computed by the
 /// caller; `None` slots are drafted here (in parallel over `cfg.jobs`). The
 /// result is byte-identical however the drafts are split between the two
-/// sources.
+/// sources. The drafts made here and the fuzz stage share one divergence
+/// memo, dropped on return.
 #[allow(clippy::too_many_arguments)]
 pub fn assemble(
     test: &TestCase,
@@ -380,13 +431,17 @@ pub fn assemble(
         result.inconsistencies.len(),
         "one draft slot per inconsistency"
     );
+    let memo = ReplayMemo::new();
     // Stages 1–4 for the missing slots, parallel per witness.
     let missing: Vec<usize> = (0..drafts.len()).filter(|&k| drafts[k].is_none()).collect();
     let (fresh, _) = par_map(
         cfg.jobs,
         &missing,
         || (),
-        |_, &k| draft_witness(test, &result.inconsistencies[k], grouped_a, grouped_b, a, b),
+        |_, &k| {
+            let inc = &result.inconsistencies[k];
+            draft_on(&memo, test, inc, grouped_a, grouped_b, a, b)
+        },
     );
     let mut slots = drafts;
     for (k, d) in missing.into_iter().zip(fresh) {
@@ -416,7 +471,15 @@ pub fn assemble(
             let Origin::Distilled { inconsistency } = drafts[p].origin else {
                 unreachable!("parents are distilled drafts");
             };
-            fuzz_one(inconsistency, &drafts[p].inner.inputs, &free, a, b, cfg)
+            fuzz_one(
+                &memo,
+                inconsistency,
+                &drafts[p].inner.inputs,
+                &free,
+                a,
+                b,
+                cfg,
+            )
         },
     );
 
@@ -426,8 +489,10 @@ pub fn assemble(
     // by (divergence kind, signature pair) in first-seen order.
     let mut stats = DistillStats {
         witnesses: result.inconsistencies.len(),
+        replays_run: memo.len(),
         ..DistillStats::default()
     };
+    drop(memo);
     let mut clusters: Vec<(String, String)> = Vec::new();
     let mut entries: Vec<CorpusEntry> = Vec::new();
     fn push(
@@ -484,6 +549,7 @@ pub fn assemble(
 
     for draft in drafts {
         stats.replays += draft.inner.replays;
+        stats.replays_run += draft.inner.replays_run;
         match draft.inner.outcome {
             Ok(_) => stats.confirmed += 1,
             Err(_) => stats.unconfirmed += 1,

@@ -35,6 +35,7 @@
 pub mod corpus;
 pub mod distill;
 pub mod fuzz;
+mod memo;
 pub mod minimize;
 pub mod rng;
 

@@ -36,8 +36,6 @@ pub struct Minimized {
     pub output_a: ObservedOutput,
     /// Agent B's replayed output on the minimized inputs.
     pub output_b: ObservedOutput,
-    /// Number of candidate evaluations (replay pairs) spent.
-    pub replays: usize,
 }
 
 /// Per-input free byte positions: the indices that were *symbolic* in the
@@ -130,7 +128,6 @@ pub fn minimize<F>(
 where
     F: FnMut(&[ConcreteInput]) -> Option<(ObservedOutput, ObservedOutput)>,
 {
-    let mut replays = 1;
     let (mut out_a, mut out_b) = check(inputs)?;
     let mut current = inputs.to_vec();
     loop {
@@ -139,7 +136,6 @@ where
             let Some(candidate) = zeroed(&current, idx, &span) else {
                 continue; // span already all-zero
             };
-            replays += 1;
             if let Some((a, b)) = check(&candidate) {
                 current = candidate;
                 out_a = a;
@@ -155,7 +151,6 @@ where
         inputs: current,
         output_a: out_a,
         output_b: out_b,
-        replays,
     })
 }
 
@@ -182,7 +177,10 @@ pub fn residual_bytes(inputs: &[ConcreteInput], free: &[Vec<usize>]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memo::Memo;
     use soft_harness::ObservedOutput;
+    use std::cell::Cell;
+    use std::collections::HashSet;
 
     fn out() -> ObservedOutput {
         ObservedOutput {
@@ -235,6 +233,33 @@ mod tests {
         let once = minimize(&inputs, &free, &spans, oracle).unwrap();
         let twice = minimize(&once.inputs, &free, &spans, oracle).unwrap();
         assert_eq!(once.inputs, twice.inputs);
+    }
+
+    #[test]
+    fn a_memoized_oracle_minimizes_alike_and_runs_each_candidate_once() {
+        let (inputs, free) = start();
+        let plain = minimize(&inputs, &free, &spans, oracle).unwrap();
+        let memo = Memo::new();
+        let runs = Cell::new(0);
+        let mut checks = 0;
+        let mut asked = HashSet::new();
+        let memoized = minimize(&inputs, &free, &spans, |candidate| {
+            checks += 1;
+            asked.insert(candidate.to_vec());
+            memo.get(candidate, || {
+                runs.set(runs.get() + 1);
+                oracle(candidate)
+            })
+        })
+        .unwrap();
+        assert_eq!(memoized.inputs, plain.inputs);
+        assert_eq!(memoized.output_a, plain.output_a);
+        assert_eq!(memoized.output_b, plain.output_b);
+        // The second pass re-offers zeroings the first refused: those
+        // checks are answered without running the oracle.
+        assert_eq!(runs.get(), asked.len());
+        assert_eq!(memo.len(), asked.len());
+        assert!(runs.get() < checks, "{} runs, {checks} checks", runs.get());
     }
 
     #[test]

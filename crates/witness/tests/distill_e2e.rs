@@ -6,8 +6,8 @@ use soft_agents::AgentKind;
 use soft_core::Soft;
 use soft_harness::suite;
 use soft_witness::{
-    assemble, distill, draft_witness, reproduce_corpus, DistillConfig, DistillReport, Status,
-    WitnessDraft,
+    assemble, distill, draft_witness, reproduce_corpus, DistillConfig, DistillReport, DistillStats,
+    Status, WitnessDraft,
 };
 
 fn queue_config_report(cfg: &DistillConfig) -> DistillReport {
@@ -111,7 +111,15 @@ fn precomputed_drafts_assemble_identically() {
         &cfg,
     );
     assert_eq!(batch.corpus.to_json_string(), mixed.corpus.to_json_string());
-    assert_eq!(batch.stats, mixed.stats);
+    // Every count agrees but the replays run: a precomputed draft
+    // replays through a memo of its own, so it cannot reuse what other
+    // witnesses replayed, and runs at least as many pairs.
+    let but_runs = |s: &DistillStats| DistillStats {
+        replays_run: 0,
+        ..s.clone()
+    };
+    assert_eq!(but_runs(&batch.stats), but_runs(&mixed.stats));
+    assert!(mixed.stats.replays_run >= batch.stats.replays_run);
 }
 
 #[test]

@@ -3,13 +3,14 @@
 //! 1-minimality, corpus round-tripping, and determinism across `--jobs`.
 
 use soft::core::run_concrete;
-use soft::harness::{suite, Input};
+use soft::harness::{json, suite, Input};
 use soft::openflow::parse::roundtrips;
 use soft::witness::{
     distill, free_positions, minimize, reproduce_corpus, ConcreteInput, Corpus, DistillConfig,
-    Status,
+    Origin, SplitMix64, Status,
 };
 use soft::{AgentKind, Soft};
+use std::time::{Duration, Instant};
 
 fn distill_packet_out(
     cfg: &DistillConfig,
@@ -131,7 +132,14 @@ fn distillation_is_deterministic_across_jobs_and_runs() {
     let (_, r1again) = distill_packet_out(&cfg1);
     assert_eq!(r1.corpus.to_json_string(), r4.corpus.to_json_string());
     assert_eq!(r1.corpus.to_json_string(), r1again.corpus.to_json_string());
+    // Covers `replays_run` too: the memo runs each distinct candidate
+    // once, whichever worker asks first.
     assert_eq!(r1.stats, r4.stats);
+    // The memo answers repeated candidates without changing which ones
+    // are checked: the check count is the one computed before the memo,
+    // and fewer replays run than are checked.
+    assert_eq!(r1.stats.replays, 1845);
+    assert!(r1.stats.replays_run < r1.stats.replays, "{:?}", r1.stats);
     // A different fuzz seed is allowed to produce a different corpus, but
     // the distilled (non-fuzz) entries must be unaffected by it.
     let (_, other_seed) = distill_packet_out(&DistillConfig {
@@ -141,7 +149,7 @@ fn distillation_is_deterministic_across_jobs_and_runs() {
     let distilled_only = |c: &Corpus| -> Vec<ConcreteInput> {
         c.entries
             .iter()
-            .filter(|e| matches!(e.origin, soft::witness::Origin::Distilled { .. }))
+            .filter(|e| matches!(e.origin, Origin::Distilled { .. }))
             .flat_map(|e| e.inputs.clone())
             .collect()
     };
@@ -239,4 +247,136 @@ fn unconfirmable_witnesses_are_reported_not_dropped() {
             s => panic!("expected unconfirmed, got {s:?}"),
         }
     }
+}
+
+/// `text` with its fingerprint recomputed over its payload, as a writer
+/// that damaged the corpus before fingerprinting it would leave it; `None`
+/// if the file no longer parses as JSON with a `corpus` field.
+fn refingerprint(text: &str) -> Option<String> {
+    let body = json::parse(text).ok()?.get("corpus")?.to_string();
+    let fnv = body.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x1_0000_01b3)
+    });
+    Some(format!(r#"{{"fingerprint":"{fnv:016x}","corpus":{body}}}"#))
+}
+
+/// `soft repro` and `soft conform` load corpora from outside the process:
+/// a damaged corpus must come back as an `Err`, never a panic, and
+/// loading must take time linear in the file's size.
+#[test]
+fn corpus_loading_rejects_damaged_files_in_linear_time() {
+    let (_, report) = distill_packet_out(&DistillConfig::default());
+    let full = report.corpus;
+    // A few kilobytes of real entries: the first of each origin and
+    // cluster, plus a copy of the first with a probe and a time step
+    // appended and marked unconfirmed, so every input kind and both
+    // statuses are read.
+    let mut small = full.clone();
+    let mut seen = Vec::new();
+    small.entries.retain(|e| {
+        let key = (
+            matches!(e.origin, Origin::Distilled { .. }),
+            e.status.clone(),
+        );
+        let fresh = !seen.contains(&key);
+        seen.push(key);
+        fresh
+    });
+    let mut mixed = small.entries[0].clone();
+    mixed.inputs.push(ConcreteInput::Probe {
+        in_port: 2,
+        packet: vec![0xab; 14],
+    });
+    mixed.inputs.push(ConcreteInput::AdvanceTime { now: 300 });
+    mixed.status = Status::Unconfirmed {
+        reason: "replayed traces do not diverge".into(),
+    };
+    small.entries.push(mixed);
+    assert!(small.entries.len() >= 4, "{} entries", small.entries.len());
+    let text = small.to_json_string();
+    assert!(text.is_ascii());
+    assert_eq!(Corpus::from_json_str(&text).unwrap(), small);
+
+    for cut in 0..text.len() {
+        assert!(
+            Corpus::from_json_str(&text[..cut]).is_err(),
+            "{cut}-byte prefix read"
+        );
+    }
+
+    // Half the flips keep the recorded fingerprint, which refuses them;
+    // the other half recompute it, so the damage reaches the entry
+    // reader, the hex decoder and the integer range checks.
+    let mut rng = SplitMix64::new(0x50f7);
+    let (mut refused_past_fingerprint, mut read) = (0, 0);
+    for flip in 0..2000 {
+        let mut bytes = text.clone().into_bytes();
+        let at = rng.below(bytes.len() as u64) as usize;
+        // Flip one of the low seven bits: the text stays ASCII.
+        bytes[at] ^= 1 << rng.below(7);
+        let mut damaged = String::from_utf8(bytes).unwrap();
+        if flip % 2 == 1 {
+            match refingerprint(&damaged) {
+                Some(again) => damaged = again,
+                None => continue,
+            }
+        }
+        let loaded = std::panic::catch_unwind(|| Corpus::from_json_str(&damaged))
+            .unwrap_or_else(|_| panic!("flip {flip} at byte {at} panicked"));
+        match loaded {
+            Ok(_) => read += 1,
+            Err(e) if !e.contains("fingerprint") => refused_past_fingerprint += 1,
+            Err(_) => {}
+        }
+    }
+    assert!(refused_past_fingerprint > 0 && read > 0);
+
+    let rejects = |damaged: &str, what: &str| {
+        let damaged = refingerprint(damaged).expect("still JSON");
+        let err = Corpus::from_json_str(&damaged).expect_err(what);
+        assert!(!err.contains("fingerprint"), "{what}: {err}");
+    };
+    let hex = text.find(r#""hex":""#).unwrap() + r#""hex":""#.len();
+    rejects(
+        &format!("{}0{}", &text[..hex], &text[hex..]),
+        "an odd-length hex string",
+    );
+    rejects(
+        &format!("{}\\u20ac{}", &text[..hex], &text[hex + 1..]),
+        "a non-ASCII hex digit",
+    );
+    rejects(
+        &text.replacen(r#""now":300"#, r#""now":65536"#, 1),
+        "now above u16",
+    );
+    rejects(
+        &text.replacen(r#""in_port":2"#, r#""in_port":70000"#, 1),
+        "in_port above u16",
+    );
+    rejects(
+        &text.replacen(r#""msg_types":[13]"#, r#""msg_types":[269]"#, 1),
+        "a message type above 255",
+    );
+    rejects(
+        &text.replacen(r#""cluster":0"#, r#""cluster":18446744073709551615"#, 1),
+        "a cluster id past the entries",
+    );
+
+    // The entries eight times over: a reader quadratic in its input would
+    // take 64 times as long, a linear one 8.
+    let mut eight = full.clone();
+    eight.entries = (0..8).flat_map(|_| full.entries.clone()).collect();
+    let (one, eight) = (full.to_json_string(), eight.to_json_string());
+    let time = |text: &str| -> Duration {
+        (0..5)
+            .map(|_| {
+                let t0 = Instant::now();
+                Corpus::from_json_str(text).unwrap();
+                t0.elapsed()
+            })
+            .min()
+            .unwrap()
+    };
+    let (one, eight) = (time(&one), time(&eight));
+    assert!(eight < one * 16, "1x {one:?}, 8x {eight:?}");
 }
