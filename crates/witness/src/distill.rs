@@ -82,10 +82,11 @@ pub struct DistillStats {
     /// memo answers included. The count does not depend on the memo or
     /// on `jobs`; `soft distill` prints it as "N replay pair(s)".
     pub replays: usize,
-    /// Replay pairs actually run: one per distinct candidate of a
-    /// distill (a candidate refused by the wire check counts, though it
-    /// starts no agent), plus the runs of precomputed drafts, which each
-    /// kept a memo of their own. Identical for any `jobs`.
+    /// Replay pairs actually run by the drafts [`assemble`] makes itself
+    /// and by its fuzz stage: one per distinct candidate on its memo (a
+    /// candidate refused by the wire check counts, though it starts no
+    /// agent). Precomputed drafts' runs are not counted. Identical for
+    /// any `jobs`.
     pub replays_run: usize,
     /// Distinct root-cause clusters among confirmed entries.
     pub clusters: usize,
@@ -197,9 +198,6 @@ pub struct WitnessDraft {
     inputs: Vec<ConcreteInput>,
     outcome: Result<(ObservedOutput, ObservedOutput), String>,
     replays: usize,
-    /// Replays run on a memo of the draft's own ([`draft_witness`]); 0
-    /// for drafts on a distill's shared memo, which counts them itself.
-    replays_run: usize,
     free_bytes: usize,
     residual: usize,
 }
@@ -229,7 +227,6 @@ fn unconfirmed(
         inputs,
         outcome: Err(reason),
         replays,
-        replays_run: 0,
         free_bytes,
         residual,
     }
@@ -249,9 +246,7 @@ pub fn draft_witness(
 ) -> WitnessDraft {
     let memo = ReplayMemo::new();
     let (a, b) = (a.into(), b.into());
-    let mut draft = draft_on(&memo, test, inc, grouped_a, grouped_b, a, b);
-    draft.replays_run = memo.len();
-    draft
+    draft_on(&memo, test, inc, grouped_a, grouped_b, a, b)
 }
 
 /// [`draft_witness`] asking `memo` for every replay.
@@ -329,7 +324,6 @@ fn draft_on(
         inputs: minimized.inputs,
         outcome: Ok((minimized.output_a, minimized.output_b)),
         replays,
-        replays_run: 0,
     }
 }
 
@@ -363,7 +357,6 @@ fn fuzz_one(
                     inputs: Vec::new(), // marker: not divergent, dropped later
                     outcome: Err(String::new()),
                     replays,
-                    replays_run: 0,
                     free_bytes: 0,
                     residual: 0,
                 },
@@ -382,7 +375,6 @@ fn fuzz_one(
                 inputs: minimized.inputs,
                 outcome: Ok((minimized.output_a, minimized.output_b)),
                 replays,
-                replays_run: 0,
             },
         })
     }
@@ -549,7 +541,6 @@ pub fn assemble(
 
     for draft in drafts {
         stats.replays += draft.inner.replays;
-        stats.replays_run += draft.inner.replays_run;
         match draft.inner.outcome {
             Ok(_) => stats.confirmed += 1,
             Err(_) => stats.unconfirmed += 1,

@@ -111,15 +111,13 @@ fn precomputed_drafts_assemble_identically() {
         &cfg,
     );
     assert_eq!(batch.corpus.to_json_string(), mixed.corpus.to_json_string());
-    // Every count agrees but the replays run: a precomputed draft
-    // replays through a memo of its own, so it cannot reuse what other
-    // witnesses replayed, and runs at least as many pairs.
+    // Every count agrees but the replays run, which covers only the
+    // drafts assemble makes itself.
     let but_runs = |s: &DistillStats| DistillStats {
         replays_run: 0,
         ..s.clone()
     };
     assert_eq!(but_runs(&batch.stats), but_runs(&mixed.stats));
-    assert!(mixed.stats.replays_run >= batch.stats.replays_run);
 }
 
 #[test]
