@@ -102,15 +102,53 @@ impl StoreEntry {
     /// entries between back-ends inside `replicate` frames — the pushed
     /// bytes are exactly the published bytes.
     pub fn to_json(&self) -> Json {
+        let mut fields: Vec<(String, Json)> = self
+            .texts()
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), Json::Str(v.clone())))
+            .collect();
+        fields.extend(self.rest().into_iter().map(|(k, v)| (k.to_string(), v)));
+        Json::Object(fields)
+    }
+
+    /// Append the bytes `to_json().write_into` would, without first
+    /// copying the artifacts and corpus into a JSON tree.
+    pub fn write_into(&self, out: &mut String) {
+        out.push('{');
+        for (i, (k, v)) in self.texts().into_iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            json::write_string(k, out);
+            out.push(':');
+            json::write_string(v, out);
+        }
+        for (k, v) in self.rest() {
+            out.push(',');
+            json::write_string(k, out);
+            out.push(':');
+            v.write_into(out);
+        }
+        out.push('}');
+    }
+
+    /// The leading text fields, in wire order.
+    fn texts(&self) -> [(&'static str, &String); 5] {
+        [
+            ("fp_a", &self.fp_a),
+            ("fp_b", &self.fp_b),
+            ("artifact_a", &self.artifact_a),
+            ("artifact_b", &self.artifact_b),
+            ("corpus", &self.corpus),
+        ]
+    }
+
+    /// The fields after [`Self::texts`], in wire order.
+    fn rest(&self) -> Vec<(&'static str, Json)> {
         let mut fields = vec![
-            ("fp_a".to_string(), Json::Str(self.fp_a.clone())),
-            ("fp_b".to_string(), Json::Str(self.fp_b.clone())),
-            ("artifact_a".to_string(), Json::Str(self.artifact_a.clone())),
-            ("artifact_b".to_string(), Json::Str(self.artifact_b.clone())),
-            ("corpus".to_string(), Json::Str(self.corpus.clone())),
-            ("summary".to_string(), self.summary.clone()),
+            ("summary", self.summary.clone()),
             (
-                "verdicts".to_string(),
+                "verdicts",
                 Json::Array(
                     self.verdicts
                         .iter()
@@ -120,9 +158,9 @@ impl StoreEntry {
             ),
         ];
         if let Some(spec) = &self.spec {
-            fields.push(("spec".to_string(), spec.to_json()));
+            fields.push(("spec", spec.to_json()));
         }
-        Json::Object(fields)
+        fields
     }
 
     /// Parse an entry from its wire/disk form.
@@ -207,7 +245,7 @@ impl ResultStore {
     /// valid) entry.
     pub fn publish(&self, key: &str, logical: &str, entry: &StoreEntry) -> io::Result<()> {
         let mut text = String::new();
-        entry.to_json().write_into(&mut text);
+        entry.write_into(&mut text);
         atomic_write(&self.entry_path(key), text.as_bytes(), self.fsync)?;
         let _index_guard = self.index_lock.lock().unwrap_or_else(|e| e.into_inner());
         let mut index = self.read_index();
@@ -466,6 +504,19 @@ mod tests {
         // Logical key ignores fingerprints but not parameters.
         assert_eq!(logical_key(&s), logical_key(&s));
         assert_ne!(logical_key(&s), logical_key(&s2));
+    }
+
+    #[test]
+    fn streamed_entry_bytes_equal_the_json_tree_bytes() {
+        let mut with_spec = entry();
+        with_spec.artifact_a = "{\"quote\":\"\\\"\",\"nl\":\"\\n\"}\u{1}é".to_string();
+        with_spec.spec = Some(spec());
+        for e in [entry(), with_spec] {
+            let (mut streamed, mut tree) = (String::new(), String::new());
+            e.write_into(&mut streamed);
+            e.to_json().write_into(&mut tree);
+            assert_eq!(streamed, tree);
+        }
     }
 
     #[test]

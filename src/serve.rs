@@ -299,6 +299,13 @@ struct ServeState {
     /// `None` outside fleet mode (replication then never triggers).
     fleet: Mutex<Option<FleetView>>,
     stealable: StealRegistry,
+    /// Held by a solved job from reading its session's output back until
+    /// the store entry is published, the step that holds the job's
+    /// artifacts several times over (read back, then encoded for the
+    /// store). Jobs solve concurrently but publish one at a time, so the
+    /// daemon's peak memory does not depend on whether two jobs happen
+    /// to finish together.
+    publish_gate: Mutex<()>,
 }
 
 fn outcome_summary(o: &TestOutcome) -> Json {
@@ -329,10 +336,11 @@ fn outcome_summary(o: &TestOutcome) -> Json {
 /// The `result` response: the exact published bytes plus per-serving
 /// counters (`store_hit`/`seeded_pairs`/`check_queries` describe *this*
 /// answer; `summary` describes the run that produced the stored entry).
+/// Takes the entry so its artifacts move into the reply uncopied.
 fn result_response(
     key: &str,
     rj: &ResolvedJob,
-    entry: &StoreEntry,
+    entry: StoreEntry,
     store_hit: bool,
     seeded_pairs: u64,
     check_queries: u64,
@@ -346,16 +354,10 @@ fn result_response(
         ("test".to_string(), Json::Str(rj.spec.test.clone())),
         ("seeded_pairs".to_string(), Json::UInt(seeded_pairs)),
         ("check_queries".to_string(), Json::UInt(check_queries)),
-        (
-            "artifact_a".to_string(),
-            Json::Str(entry.artifact_a.clone()),
-        ),
-        (
-            "artifact_b".to_string(),
-            Json::Str(entry.artifact_b.clone()),
-        ),
-        ("corpus".to_string(), Json::Str(entry.corpus.clone())),
-        ("summary".to_string(), entry.summary.clone()),
+        ("artifact_a".to_string(), Json::Str(entry.artifact_a)),
+        ("artifact_b".to_string(), Json::Str(entry.artifact_b)),
+        ("corpus".to_string(), Json::Str(entry.corpus)),
+        ("summary".to_string(), entry.summary),
     ])
 }
 
@@ -377,7 +379,7 @@ fn run_job(state: &ServeState, rj: &ResolvedJob, fsync: bool) -> Result<Json, St
         add_ns(&state.counters.lookup_ns, t_lookup);
         state.counters.store_hits.fetch_add(1, Ordering::Relaxed);
         state.counters.jobs_served.fetch_add(1, Ordering::Relaxed);
-        return Ok(result_response(&key, rj, &entry, true, 0, 0));
+        return Ok(result_response(&key, rj, entry, true, 0, 0));
     }
     // Content miss: the latest entry for the same logical job (if any)
     // becomes the diff baseline. A missing or unreadable baseline just
@@ -422,6 +424,7 @@ fn run_job(state: &ServeState, rj: &ResolvedJob, fsync: bool) -> Result<Json, St
     add_ns(&state.counters.solve_ns, t_solve);
     let outcome = &report.outcomes[0];
     let t_publish = Instant::now();
+    let gate = recover(&state.publish_gate);
     let read_back = |path: &str| -> Result<String, String> {
         std::fs::read_to_string(path).map_err(|e| format!("read back {path}: {e}"))
     };
@@ -455,6 +458,7 @@ fn run_job(state: &ServeState, rj: &ResolvedJob, fsync: bool) -> Result<Json, St
     for path in &staged {
         let _ = std::fs::remove_file(path);
     }
+    drop(gate);
     add_ns(&state.counters.publish_ns, t_publish);
     // In fleet mode, push the fresh entry to this key's ring successors
     // before replying: once the client sees the result, a replica
@@ -474,7 +478,7 @@ fn run_job(state: &ServeState, rj: &ResolvedJob, fsync: bool) -> Result<Json, St
     Ok(result_response(
         &key,
         rj,
-        &entry,
+        entry,
         false,
         outcome.seeded_pairs as u64,
         outcome.check_queries as u64,
@@ -631,6 +635,7 @@ pub fn serve(cfg: &ServeConfig) -> Result<(), String> {
         running: RunningJobs::new(),
         fleet: Mutex::new(None),
         stealable: StealRegistry::default(),
+        publish_gate: Mutex::new(()),
     });
     state
         .counters
